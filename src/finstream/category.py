@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .circulation import (
     FuncPrecirculation,
     Stream,
+    _extract_preorder,
     chaotic_precirculation,
     circulation_from_generators,
     cosheafify,
@@ -133,7 +134,7 @@ def final_structure(
     maps into stream maps: join of the pushforwards (trivial for no legs)."""
     if legs:
         circ = join_circulations(
-            [pushforward(s, f, target, check=False) for s, f in legs]
+            [pushforward(s, f, target) for s, f in legs]
         )
     else:
         circ = trivial_circulation(target)
@@ -157,12 +158,7 @@ def initial_structure(
         for pb in pulled:
             prows = pb.rows_on(mask)
             rows = [r & p for r, p in zip(rows, prows)]
-        carrier = tuple(source.points[i] for i in iter_bits(mask))
-        positions = list(iter_bits(mask))
-        out = []
-        for i in positions:
-            out.append(sum((rows[i] >> j & 1) << k for k, j in enumerate(positions)))
-        return Preorder(carrier, tuple(out))
+        return _extract_preorder(source, mask, rows)
 
     circ = cosheafify(FuncPrecirculation(source, meet))
     stream = Stream(source, circ)
@@ -218,7 +214,7 @@ def quotient_stream(
 ) -> tuple[Stream, StreamMap]:
     """Quotient space carrying the pushforward along the projection."""
     space, projection = quotient_space(s.space, partition)
-    circ = pushforward(s, projection, space, check=False)
+    circ = pushforward(s, projection, space)
     stream = Stream(space, circ)
     return stream, StreamMap(s, stream, projection)
 

@@ -36,6 +36,8 @@ from .circulation import (
 from .errors import FormatError, StreamError
 from .formats import (
     STREAM_FORMAT,
+    _read_object,
+    _require,
     canonical_dumps,
     load,
     parse_space,
@@ -44,13 +46,24 @@ from .formats import (
     stream_to_dot,
 )
 
+
+def _int_arg(args: dict, key: str) -> int:
+    """A builder's integer argument; the model checks its range."""
+    if key not in args:
+        raise FormatError(f"builder needs argument {key!r}")
+    try:
+        return int(args[key])
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"builder argument {key!r} must be an integer") from None
+
+
 BUILDERS = {
-    "directed_interval": lambda args: models.directed_interval(int(args["n"])),
-    "directed_circle": lambda args: models.directed_circle(int(args["n"])),
+    "directed_interval": lambda args: models.directed_interval(_int_arg(args, "n")),
+    "directed_circle": lambda args: models.directed_circle(_int_arg(args, "n")),
     "directed_square": lambda args: models.directed_square(
-        int(args["n"]), int(args["m"])
+        _int_arg(args, "n"), _int_arg(args, "m")
     ),
-    "boundary_square": lambda args: models.boundary_square(int(args["n"])),
+    "boundary_square": lambda args: models.boundary_square(_int_arg(args, "n")),
     "point": lambda args: models.point_stream(args.get("name", "pt")),
     "empty": lambda args: models.empty_stream(),
 }
@@ -76,7 +89,10 @@ def _build_from_spec(obj: dict) -> Stream:
         name = obj["builder"]
         if name not in BUILDERS:
             raise FormatError(f"unknown builder {name!r}")
-        return BUILDERS[name](obj.get("args", {}))
+        args = obj.get("args", {})
+        if not isinstance(args, dict):
+            raise FormatError("builder 'args' must be an object")
+        return BUILDERS[name](args)
     if "atlas" in obj:
         atlas = obj["atlas"]
         space = parse_space(atlas["space"])
@@ -94,34 +110,29 @@ def _build_from_spec(obj: dict) -> Stream:
 
 
 def cmd_build(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        try:
-            spec = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{args.input}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            )
-    stream = _build_from_spec(spec)
+    stream = _build_from_spec(_read_object(args.input))
     _write_output(canonical_dumps(serialize_stream(stream)), args.output)
     return 0
+
+
+def _circulation_check(pc, mode: str) -> dict:
+    result = is_circulation(pc, mode=mode)
+    return {
+        "check": "circulation",
+        "ok": result.ok,
+        "witness": None
+        if result.witness is None
+        else {
+            "collection": [list(o) for o in result.witness.collection],
+            "pair": [result.witness.x, result.witness.y],
+        },
+    }
 
 
 def _check_stream(stream: Stream, which: str, mode: str) -> list[dict]:
     checks = []
     if which in ("all", "circulation"):
-        result = is_circulation(stream.circ.as_precirculation(), mode=mode)
-        checks.append(
-            {
-                "check": "circulation",
-                "ok": result.ok,
-                "witness": None
-                if result.witness is None
-                else {
-                    "collection": [list(o) for o in result.witness.collection],
-                    "pair": [result.witness.x, result.witness.y],
-                },
-            }
-        )
+        checks.append(_circulation_check(stream.circ.as_precirculation(), mode))
     if which in ("all", "intervals"):
         ok, pair = check_connected_intervals(stream)
         checks.append(
@@ -148,19 +159,7 @@ def cmd_check(args) -> int:
             raise FormatError(f"{args.input}: expected a stream or precirculation")
         if args.which not in ("all", "circulation"):
             raise FormatError("precirculation files only support the circulation check")
-        result = is_circulation(value, mode=args.mode)
-        checks = [
-            {
-                "check": "circulation",
-                "ok": result.ok,
-                "witness": None
-                if result.witness is None
-                else {
-                    "collection": [list(o) for o in result.witness.collection],
-                    "pair": [result.witness.x, result.witness.y],
-                },
-            }
-        ]
+        checks = [_circulation_check(value, args.mode)]
     ok = all(c["ok"] for c in checks)
     report = {"input": args.input, "ok": ok, "checks": checks}
     _write_output(canonical_dumps(report), args.output)
@@ -203,16 +202,18 @@ def _parse_json_arg(text: str, what: str):
 
 
 def _load_diagram(path: str) -> StreamDiagram:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    obj = _read_object(path)
     objects = {
         key: parse_stream(value, strict=False)
         for key, value in obj.get("objects", {}).items()
     }
-    arrows = {
-        name: DiagramArrow(a["source"], a["target"], a["map"])
-        for name, a in obj.get("arrows", {}).items()
-    }
+    arrows = {}
+    for name, a in obj.get("arrows", {}).items():
+        if not isinstance(a, dict):
+            raise FormatError(f"arrow {name!r} must be an object")
+        arrows[name] = DiagramArrow(
+            _require(a, "source", str), _require(a, "target", str), _require(a, "map", dict)
+        )
     return StreamDiagram(objects, arrows)
 
 
@@ -333,9 +334,6 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="input file")
     common.add_argument("--output", default=None, help="output file (default stdout)")
-    common.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
-    common.add_argument("--witness", action="store_true", help="include witnesses")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p_build = sub.add_parser("build", parents=[common], help="build a stream from a spec file")
     p_build.set_defaults(fn=cmd_build)
@@ -346,10 +344,12 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["all", "circulation", "intervals", "antisymmetry"],
         default="all",
     )
+    p_check.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
     p_check.set_defaults(fn=cmd_check)
 
     p_query = sub.add_parser("query", parents=[common], help="query one open's order")
     p_query.add_argument("--open", required=True, help='comma-joined points or "global"')
+    p_query.add_argument("--witness", action="store_true", help="include a witness chain")
     p_query.add_argument("x")
     p_query.add_argument("y")
     p_query.set_defaults(fn=cmd_query)
@@ -370,9 +370,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_combine.add_argument("--input", action="append", default=[], help="input stream file")
     p_combine.add_argument("--output", default=None)
-    p_combine.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
-    p_combine.add_argument("--witness", action="store_true")
-    p_combine.add_argument("--seed", type=int, default=0)
     p_combine.add_argument("--partition", help="JSON list of classes")
     p_combine.add_argument("--points", help="JSON list of points")
     p_combine.add_argument("--map", help="JSON object mapping points to points")

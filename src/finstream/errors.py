@@ -82,3 +82,7 @@ class IllTypedDiagram(StreamError):
 
 class FormatError(StreamError):
     """Malformed interchange data."""
+
+
+class InvalidSize(StreamError, ValueError):
+    """A model size outside the range the model is defined for."""

@@ -24,7 +24,6 @@ from .spaces import FiniteSpace, space_from_min_opens
 SPACE_FORMAT = "finstream.space/1"
 STREAM_FORMAT = "finstream.stream/1"
 PRECIRCULATION_FORMAT = "finstream.precirculation/1"
-DIAGRAM_FORMAT = "finstream.diagram/1"
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -137,7 +136,8 @@ def parse_any(obj: Mapping) -> FiniteSpace | Stream | StoredPrecirculation:
     raise FormatError(f"unknown format {kind!r}")
 
 
-def load(path: str) -> FiniteSpace | Stream | StoredPrecirculation:
+def _read_object(path: str) -> dict:
+    """The JSON object a file holds; FormatError for anything else."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
@@ -145,7 +145,11 @@ def load(path: str) -> FiniteSpace | Stream | StoredPrecirculation:
             raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: top level must be an object")
-    return parse_any(obj)
+    return obj
+
+
+def load(path: str) -> FiniteSpace | Stream | StoredPrecirculation:
+    return parse_any(_read_object(path))
 
 
 def dump(value, path: str) -> None:

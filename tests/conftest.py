@@ -69,6 +69,15 @@ def open_sets(space):
     return [space.set_of(m) for m in all_opens(space)]
 
 
+def continuity_oracle(f, src, dst):
+    """The definition: the preimage of every open is open."""
+    src_opens = open_sets(src)
+    return all(
+        frozenset(p for p in src.points if f[p] in v) in src_opens
+        for v in open_sets(dst)
+    )
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240811)

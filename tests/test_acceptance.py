@@ -175,7 +175,7 @@ def test_criterion_5_pushforwards_circulate(acceptance_rng):
                 continue
             f = rng.choice(maps)
             s = random_stream(rng, src)
-            circ = pushforward(s, f, dst, check=False)
+            circ = pushforward(s, f, dst)
             assert is_circulation(circ.as_precirculation(), "fast").ok
             done += 1
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from finstream import directed_circle, directed_interval, tuple_point
 from finstream.cli import main
 from finstream.formats import canonical_dumps, load, serialize_space, serialize_stream
@@ -276,3 +278,42 @@ class TestExport:
         code, _, _ = run(capsys, "export", "--input", str(path), "--fmt", "json",
                          "--output", None if False else str(tmp_path / "x.json"))
         assert code == 0
+
+
+def malformed_cases():
+    """Inputs that must exit 2 with one error line: a missing or bad builder
+    argument, truncated diagram JSON, and a diagram arrow missing a field."""
+    builders = [
+        ("directed_interval", {}), ("directed_circle", {}),
+        ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
+        ("directed_interval", {"n": "x"}), ("directed_interval", {"n": 0}),
+        ("directed_circle", {"n": 1}), ("directed_square", {"n": "two", "m": 1}),
+    ]
+    cases = [
+        pytest.param(["build", "--input"], json.dumps({"builder": b, "args": a}), id=f"{b}-{a}")
+        for b, a in builders
+    ]
+    good = {
+        "objects": {"a": serialize_stream(directed_interval(1))},
+        "arrows": {"a1": {"source": "a", "target": "a", "map": {"e1": "e1", "v0": "v0", "v1": "v1"}}},
+    }
+    text = json.dumps(good)
+    for cut in (1, len(text) // 3, len(text) // 2, len(text) - 1):
+        cases.append(pytest.param(["combine", "limit", "--diagram"], text[:cut], id=f"cut{cut}"))
+    for field in ("source", "target", "map"):
+        broken = json.loads(text)
+        del broken["arrows"]["a1"][field]
+        cases.append(
+            pytest.param(["combine", "colimit", "--diagram"], json.dumps(broken), id=f"no-{field}")
+        )
+    return cases
+
+
+@pytest.mark.parametrize("prefix, content", malformed_cases())
+def test_malformed_input_exits_2(tmp_path, capsys, prefix, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, *prefix, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

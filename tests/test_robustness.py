@@ -57,7 +57,7 @@ class TestConcurrentReads:
 
 class TestLargeCarrierFallback:
     def test_long_interval_uses_python_kernel_rows(self):
-        # 103 cells exceed the 64-bit fast path; values must still be exact
+        # 103 cells need rows wider than a machine word; values must still be exact
         s = directed_interval(51)
         under = s.underlying()
         assert under.has("v0", "v51") and not under.has("v51", "v0")

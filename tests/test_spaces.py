@@ -29,7 +29,7 @@ from finstream.errors import (
 )
 from finstream.spaces import open_supersets
 
-from conftest import connected_oracle, open_sets
+from conftest import connected_oracle, continuity_oracle, open_sets
 
 
 def sierpinski():
@@ -139,14 +139,14 @@ class TestSpecializationAndContinuity:
         assert not is_continuous({"a": "b", "b": "a"}, space, space)
 
     def test_continuity_matches_monotonicity(self, tiny_spaces):
-        # the assert inside is_continuous compares the two criteria; drive it
+        # is_continuous tests monotonicity; the oracle tests preimages
         for src in tiny_spaces[:12]:
             for dst in tiny_spaces[:12]:
                 if src.n == 0 or dst.n == 0:
                     continue
                 for img in itertools.product(dst.points, repeat=src.n):
                     f = dict(zip(src.points, img))
-                    is_continuous(f, src, dst)
+                    assert is_continuous(f, src, dst) == continuity_oracle(f, src, dst)
 
 
 class TestConnectivity:
