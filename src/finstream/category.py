@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .circulation import (
-    FuncPrecirculation,
+    Precirculation,
     Stream,
-    _extract_preorder,
     chaotic_precirculation,
     circulation_from_generators,
     cosheafify,
@@ -34,7 +33,7 @@ from .circulation import (
     trivial_circulation,
 )
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
-from .relations import Preorder, iter_bits, product, tuple_point
+from .relations import iter_bits, product, tuple_point
 from .spaces import (
     FiniteSpace,
     all_opens,
@@ -43,6 +42,7 @@ from .spaces import (
     product_space,
     quotient_space,
     space_from_min_opens,
+    subspace,
 )
 
 
@@ -70,17 +70,20 @@ def is_stream_map(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     src, tgt = source.space, target.space
+    fidx = [tgt.index(f[p]) for p in src.points]
     for umask in masks:
         pre = 0
-        for i, p in enumerate(src.points):
-            if umask >> tgt.index(f[p]) & 1:
+        for i, ti in enumerate(fidx):
+            if umask >> ti & 1:
                 pre |= 1 << i
-        value = source.value_mask(pre)
-        tvalue = target.value_mask(umask)
-        for a, b in value.pairs():
-            if not tvalue.has(f[a], f[b]):
-                open_pts = tuple(sorted(tgt.set_of(umask)))
-                return StreamMapCheck(False, True, (open_pts, a, b))
+        rows = source.circ.value_rows(pre)
+        trows = target.circ.value_rows(umask)
+        for i in iter_bits(pre):
+            trow = trows[fidx[i]]
+            for j in iter_bits(rows[i]):
+                if not trow >> fidx[j] & 1:
+                    open_pts = tuple(sorted(tgt.set_of(umask)))
+                    return StreamMapCheck(False, True, (open_pts, src.points[i], src.points[j]))
     return StreamMapCheck(True, True)
 
 
@@ -153,14 +156,13 @@ def initial_structure(
         return Stream(source, circ), []
     pulled = [pullback(s, f, source) for f, s in legs]
 
-    def meet(mask: int) -> Preorder:
-        rows = [m if mask >> i & 1 else 0 for i, m in enumerate([mask] * source.n)]
-        for pb in pulled:
-            prows = pb.rows_on(mask)
-            rows = [r & p for r, p in zip(rows, prows)]
-        return _extract_preorder(source, mask, rows)
+    def meet(mask: int) -> tuple[int, ...]:
+        rows = pulled[0].rows_on(mask)
+        for pb in pulled[1:]:
+            rows = tuple(r & p for r, p in zip(rows, pb.rows_on(mask)))
+        return rows
 
-    circ = cosheafify(FuncPrecirculation(source, meet))
+    circ = cosheafify(Precirculation(source, meet))
     stream = Stream(source, circ)
     return stream, [StreamMap(stream, s, dict(f)) for f, s in legs]
 
@@ -172,30 +174,30 @@ def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
     pairs = {
         tuple_point(x, y): (x, y) for x in s.space.points for y in t.space.points
     }
+    coords = [
+        (s.space.index(x), t.space.index(y)) for x, y in (pairs[p] for p in space.points)
+    ]
 
-    def assign(wmask: int) -> Preorder:
+    def assign(wmask: int) -> tuple[int, ...]:
         left_mask = 0
         right_mask = 0
-        for i in iter_bits(wmask):
-            x, y = pairs[space.points[i]]
-            left_mask |= 1 << s.space.index(x)
-            right_mask |= 1 << t.space.index(y)
-        lvalue = s.value_mask(left_mask)
-        rvalue = t.value_mask(right_mask)
-        members = [space.points[i] for i in iter_bits(wmask)]
-        carrier = tuple(sorted(members))
-        rows = []
-        for p in carrier:
-            x, y = pairs[p]
-            row = 0
-            for k, q in enumerate(carrier):
-                u, v = pairs[q]
-                if lvalue.has(x, u) and rvalue.has(y, v):
-                    row |= 1 << k
-            rows.append(row)
-        return Preorder(carrier, tuple(rows))
+        members = list(iter_bits(wmask))
+        for i in members:
+            li, ri = coords[i]
+            left_mask |= 1 << li
+            right_mask |= 1 << ri
+        lrows = s.circ.value_rows(left_mask)
+        rrows = t.circ.value_rows(right_mask)
+        rows = [0] * space.n
+        for i in members:
+            lrow, rrow = lrows[coords[i][0]], rrows[coords[i][1]]
+            for k in members:
+                lk, rk = coords[k]
+                if lrow >> lk & 1 and rrow >> rk & 1:
+                    rows[i] |= 1 << k
+        return tuple(rows)
 
-    circ = cosheafify(FuncPrecirculation(space, assign))
+    circ = cosheafify(Precirculation(space, assign))
     stream = Stream(space, circ)
     first = {p: xy[0] for p, xy in pairs.items()}
     second = {p: xy[1] for p, xy in pairs.items()}
@@ -222,19 +224,10 @@ def quotient_stream(
 def coproduct_stream(
     family: Sequence[Stream], tags: Sequence[str] | None = None
 ) -> tuple[Stream, list[StreamMap]]:
-    """Disjoint union; the generators are the tagged generators of the
-    summands."""
+    """Disjoint union with the final structure over the inclusions, whose
+    generators are the tagged generators of the summands."""
     space, inclusions = coproduct_space([s.space for s in family], tags)
-    gens = {}
-    for s, inc in zip(family, inclusions):
-        for p in s.space.points:
-            g = s.gen_of(p)
-            gens[inc[p]] = Preorder.build(
-                [inc[q] for q in g.carrier],
-                [(inc[a], inc[b]) for a, b in g.pairs()],
-            )
-    stream = Stream(space, circulation_from_generators(space, gens))
-    return stream, [StreamMap(s, stream, inc) for s, inc in zip(family, inclusions)]
+    return final_structure(space, list(zip(family, inclusions)))
 
 
 @dataclass(frozen=True)
@@ -296,8 +289,6 @@ def limit(diagram: StreamDiagram) -> tuple[Stream, dict[str, StreamMap]]:
                 break
         if ok:
             compatible.append(name)
-    from .spaces import subspace
-
     base = subspace(prod, compatible)
     legs = {
         k: {name: assoc[name][slot[k]] for name in base.points} for k in keys

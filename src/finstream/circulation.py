@@ -87,45 +87,68 @@ def _close_on_mask(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -> t
     return tuple(closed)
 
 
-class Precirculation:
-    """Base: a memoized, thread-safe assignment of preorders to open sets."""
+def _join_on(
+    space: FiniteSpace, mask: int, members: Iterable[Sequence[int]]
+) -> tuple[int, ...]:
+    """Join on an open: the closure, restricted to the mask, of the union of
+    the members' full-space rows."""
+    rows = [0] * space.n
+    for member in members:
+        for k, row in enumerate(member):
+            rows[k] |= row
+    return _close_on_mask(space, mask, rows)
 
-    def __init__(self, space: FiniteSpace):
+
+class Precirculation:
+    """A memoized, thread-safe assignment of preorders to open sets.
+
+    Values are computed and memoized as full-space rows (zero off the open);
+    ``compute``, or a subclass's ``_compute``, maps an open mask to them.
+    ``assign_mask`` builds the Preorder."""
+
+    def __init__(
+        self, space: FiniteSpace, compute: Callable[[int], Sequence[int]] | None = None
+    ):
         self.space = space
-        self._memo: dict[int, Preorder] = {}
+        if compute is not None:
+            self._compute = compute
+        self._memo: dict[int, tuple[int, ...]] = {}
         self._lock = threading.Lock()
 
-    def _compute(self, mask: int) -> Preorder:
+    def _compute(self, mask: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def assign_mask(self, mask: int) -> Preorder:
+    def rows_on(self, mask: int) -> tuple[int, ...]:
         require_open_mask(self.space, mask)
         with self._lock:
             hit = self._memo.get(mask)
         if hit is not None:
             return hit
-        value = self._compute(mask)
-        expected = frozenset(self.space.set_of(mask))
-        if frozenset(value.carrier) != expected:
-            raise CarrierMismatch("assignment returned a preorder off its open set")
+        rows = tuple(self._compute(mask))
         with self._lock:
-            self._memo[mask] = value
-        return value
+            self._memo[mask] = rows
+        return rows
+
+    def assign_mask(self, mask: int) -> Preorder:
+        return _extract_preorder(self.space, mask, self.rows_on(mask))
 
     def assign(self, open_set: Iterable[str]) -> Preorder:
         return self.assign_mask(self.space.mask_of(open_set))
 
-    def rows_on(self, mask: int) -> tuple[int, ...]:
-        return _embed_rows(self.assign_mask(mask), self.space)
-
 
 class FuncPrecirculation(Precirculation):
+    """A precirculation given by a function from open masks to preorders on
+    those opens; each value is checked against its open and embedded once."""
+
     def __init__(self, space: FiniteSpace, fn: Callable[[int], Preorder]):
         super().__init__(space)
         self._fn = fn
 
-    def _compute(self, mask: int) -> Preorder:
-        return self._fn(mask)
+    def _compute(self, mask: int) -> tuple[int, ...]:
+        value = self._fn(mask)
+        if frozenset(value.carrier) != self.space.set_of(mask):
+            raise CarrierMismatch("assignment returned a preorder off its open set")
+        return _embed_rows(value, self.space)
 
 
 class StoredPrecirculation(Precirculation):
@@ -152,28 +175,27 @@ class StoredPrecirculation(Precirculation):
                 raise CarrierMismatch(f"stored value off its open {sorted(open_set)!r}")
             self._stored[mask] = _embed_rows(value, space)
 
-    def _compute(self, mask: int) -> Preorder:
-        rows = [0] * self.space.n
-        for smask, srows in self._stored.items():
-            if not smask & ~mask:
-                for i in range(self.space.n):
-                    rows[i] |= srows[i]
-        return _extract_preorder(self.space, mask, _close_on_mask(self.space, mask, rows))
+    def _compute(self, mask: int) -> tuple[int, ...]:
+        inside = (srows for smask, srows in self._stored.items() if not smask & ~mask)
+        return _join_on(self.space, mask, inside)
 
 
 def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
     """Full preorder on every open set; the top of the precirculation order."""
 
-    def full(mask: int) -> Preorder:
-        return Preorder.full(space.set_of(mask))
+    def full(mask: int) -> tuple[int, ...]:
+        return tuple(mask if mask >> i & 1 else 0 for i in range(space.n))
 
-    return FuncPrecirculation(space, full)
+    return Precirculation(space, full)
 
 
 @dataclass(frozen=True, eq=False)
 class Circulation:
     """A circulation stored by its minimal-open values, one per point,
-    saturated so that gen(x) is the join of the gens inside min_open(x)."""
+    saturated so that gen(x) is the join of the gens inside min_open(x).
+
+    Values are computed on full-space rows; ``gen`` holds the generators as
+    Preorders for callers, ``_gen_rows`` the same generators as rows."""
 
     space: FiniteSpace
     gen: tuple[Preorder, ...]
@@ -199,11 +221,7 @@ class Circulation:
             hit = self._memo.get(mask)
         if hit is not None:
             return hit
-        rows = [0] * self.space.n
-        for i in iter_bits(mask):
-            for k, row in enumerate(self._gen_rows[i]):
-                rows[k] |= row
-        out = _close_on_mask(self.space, mask, rows)
+        out = _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
         with self._lock:
             self._memo[mask] = out
         return out
@@ -218,7 +236,7 @@ class Circulation:
         return self.value_mask((1 << self.space.n) - 1)
 
     def as_precirculation(self) -> Precirculation:
-        return FuncPrecirculation(self.space, self.value_mask)
+        return Precirculation(self.space, self.value_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circulation):
@@ -231,6 +249,23 @@ class Circulation:
     def __repr__(self) -> str:
         table = {x: sorted(self.gen_of(x).pairs()) for x in self.space.points}
         return f"Circulation({table!r})"
+
+
+def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circulation:
+    """The circulation generated by families of full-space rows, each holding
+    one generator per point (zero off that point's minimal open): gen(x) is
+    the join, inside min_open(x), of every family's generators of
+    min_open(x)'s points."""
+    saturated = tuple(
+        _join_on(space, mo, (family[j] for j in iter_bits(mo) for family in families))
+        for mo in space.min_open_rows
+    )
+    gen = tuple(
+        _extract_preorder(space, mo, rows) for mo, rows in zip(space.min_open_rows, saturated)
+    )
+    circ = Circulation(space, gen)
+    circ.__dict__["_gen_rows"] = saturated  # seeds the cached_property; no re-embedding
+    return circ
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,17 +318,7 @@ def circulation_from_generators(
         if frozenset(p.carrier) != space.min_open(x):
             raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
         embedded.append(_embed_rows(p, space))
-    saturated = []
-    for i in range(space.n):
-        mo = space.min_open_rows[i]
-        rows = [0] * space.n
-        for j in iter_bits(mo):
-            for k, row in enumerate(embedded[j]):
-                rows[k] |= row
-        saturated.append(
-            _extract_preorder(space, mo, _close_on_mask(space, mo, rows))
-        )
-    return Circulation(space, tuple(saturated))
+    return _saturate(space, embedded)
 
 
 def stream_from_generators(space: FiniteSpace, gens: Mapping[str, Preorder]) -> Stream:
@@ -338,10 +363,7 @@ def join_circulations(circs: Sequence[Circulation]) -> Circulation:
     for c in circs[1:]:
         if c.space != space:
             raise CarrierMismatch("circulations live on different spaces")
-    gens = {
-        x: join([c.gen_of(x) for c in circs]) for x in space.points
-    }
-    return circulation_from_generators(space, gens)
+    return _saturate(space, *(c._gen_rows for c in circs))
 
 
 @dataclass(frozen=True)
@@ -392,13 +414,9 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     if mode == "fast":
         minop_rows = [pc.rows_on(row) for row in space.min_open_rows]
         for wmask in all_opens(space):
-            rows = [0] * space.n
-            for i in iter_bits(wmask):
-                for k, row in enumerate(minop_rows[i]):
-                    rows[k] |= row
-            expected = _close_on_mask(space, wmask, rows)
+            expected = _join_on(space, wmask, (minop_rows[i] for i in iter_bits(wmask)))
             actual = pc.rows_on(wmask)
-            if tuple(actual) != expected:
+            if actual != expected:
                 cover = sorted(
                     {tuple(sorted(space.min_open(space.points[i]))) for i in iter_bits(wmask)}
                 )
@@ -410,22 +428,14 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
         keys = {m: tuple(sorted(space.set_of(m))) for m in opens}
         opens.sort(key=lambda m: keys[m])
         member_rows = {m: pc.rows_on(m) for m in opens}
-        closure_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
         for size in range(1, len(opens) + 1):
             for combo in itertools.combinations(opens, size):
                 union = 0
-                rows = [0] * space.n
                 for m in combo:
                     union |= m
-                    for k, row in enumerate(member_rows[m]):
-                        rows[k] |= row
-                key = tuple(rows)
-                joined = closure_memo.get(key)
-                if joined is None:
-                    joined = _close_on_mask(space, union, rows)
-                    closure_memo[key] = joined
+                joined = _join_on(space, union, (member_rows[m] for m in combo))
                 actual = pc.rows_on(union)
-                if tuple(actual) != joined:
+                if actual != joined:
                     x, y = _least_mismatch(space, actual, joined)
                     collection = tuple(keys[m] for m in combo)
                     return CirculationCheck(False, CosheafWitness(collection, x, y))
@@ -458,14 +468,11 @@ def check_monotone(pc: Precirculation) -> tuple[bool, tuple[str, str, str] | Non
 def half_cosheaf_holds(pc: Precirculation, collection: Sequence[Iterable[str]]) -> bool:
     """Join of the values on the members sits inside the value on the union."""
     space = pc.space
+    masks = [space.mask_of(open_set) for open_set in collection]
     union = 0
-    rows = [0] * space.n
-    for open_set in collection:
-        mask = space.mask_of(open_set)
+    for mask in masks:
         union |= mask
-        for k, row in enumerate(pc.rows_on(mask)):
-            rows[k] |= row
-    joined = _close_on_mask(space, union, rows)
+    joined = _join_on(space, union, (pc.rows_on(mask) for mask in masks))
     big = pc.rows_on(union)
     return all(not joined[i] & ~big[i] for i in range(space.n))
 
@@ -478,9 +485,7 @@ def cosheafify(pc: Precirculation) -> Circulation:
     below the input has each value below the corresponding join of
     minimal-open values, so this dominates them all; monotonicity of the
     input keeps the result below it."""
-    space = pc.space
-    gens = {x: pc.assign_mask(space.min_open_rows[space.index(x)]) for x in space.points}
-    return circulation_from_generators(space, gens)
+    return _saturate(pc.space, [pc.rows_on(mo) for mo in pc.space.min_open_rows])
 
 
 @lru_cache(maxsize=None)
@@ -528,12 +533,13 @@ def pushforward(s: Stream, f: Mapping[str, str], target: FiniteSpace) -> Circula
 
     The result is a circulation, so it is determined by its values on the
     minimal opens; the test suite compares it with the direct definition on
-    every open."""
+    every open. Saturation closes each generator, so the images are not
+    closed first."""
     require_continuous(f, s.space, target)
     src = s.space
     fidx = {src.index(p): target.index(f[p]) for p in src.points}
 
-    def pf_rows(umask: int) -> tuple[int, ...]:
+    def image_rows(umask: int) -> list[int]:
         pre = 0
         for i in range(src.n):
             if umask >> fidx[i] & 1:
@@ -544,16 +550,9 @@ def pushforward(s: Stream, f: Mapping[str, str], target: FiniteSpace) -> Circula
             ti = fidx[i]
             for j in iter_bits(src_rows[i]):
                 rows[ti] |= 1 << fidx[j]
-        return _close_on_mask(target, umask, rows)
+        return rows
 
-    gens = {
-        y: _extract_preorder(
-            target, target.min_open_rows[target.index(y)],
-            pf_rows(target.min_open_rows[target.index(y)]),
-        )
-        for y in target.points
-    }
-    return circulation_from_generators(target, gens)
+    return _saturate(target, [image_rows(mo) for mo in target.min_open_rows])
 
 
 def pullback(
@@ -577,7 +576,7 @@ def pullback(
     require_continuous(f, src_space, target_space)
     fidx = {src_space.index(p): target_space.index(f[p]) for p in src_space.points}
 
-    def compute(umask: int) -> Preorder:
+    def compute(umask: int) -> tuple[int, ...]:
         vmask = 0
         for i in iter_bits(umask):
             vmask |= target_space.min_open_rows[fidx[i]]
@@ -587,9 +586,9 @@ def pullback(
             for b in iter_bits(umask):
                 if vrows[fidx[a]] >> fidx[b] & 1:
                     rows[a] |= 1 << b
-        return _extract_preorder(src_space, umask, tuple(rows))
+        return tuple(rows)
 
-    return FuncPrecirculation(src_space, compute)
+    return Precirculation(src_space, compute)
 
 
 def underlying_preorder(s: Stream) -> Preorder:

@@ -19,7 +19,7 @@ from .circulation import (
 )
 from .errors import FormatError, InvalidPreorder
 from .relations import Preorder
-from .spaces import FiniteSpace, space_from_min_opens
+from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"
 STREAM_FORMAT = "finstream.stream/1"
@@ -55,8 +55,6 @@ def serialize_stream(s: Stream) -> dict:
 
 def serialize_precirculation(pc: Precirculation, opens=None) -> dict:
     """Stored form: values on an explicit list of opens (default: all)."""
-    from .spaces import all_opens
-
     masks = (
         list(all_opens(pc.space))
         if opens is None
@@ -78,12 +76,24 @@ def serialize_precirculation(pc: Precirculation, opens=None) -> dict:
 
 
 def _require(obj: Mapping, key: str, kind=None):
+    if not isinstance(obj, Mapping):
+        raise FormatError(f"expected an object with field {key!r}")
     if key not in obj:
         raise FormatError(f"missing field {key!r}")
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
         raise FormatError(f"field {key!r} has the wrong type")
     return value
+
+
+def _parse_pairs(raw) -> list[tuple[str, str]]:
+    """A JSON pair list: each pair a list of two point names."""
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+        for pair in raw
+    ):
+        raise FormatError("pairs must be lists of two point names")
+    return [tuple(pair) for pair in raw]
 
 
 def parse_space(obj: Mapping) -> FiniteSpace:
@@ -100,8 +110,7 @@ def _parse_gen_table(space: FiniteSpace, table: Mapping) -> dict[str, Preorder]:
     for x in space.points:
         if x not in table:
             raise FormatError(f"gen table misses {x!r}")
-        pairs = [tuple(pair) for pair in table[x]]
-        gens[x] = Preorder.build(space.min_open(x), pairs)
+        gens[x] = Preorder.build(space.min_open(x), _parse_pairs(table[x]))
     return gens
 
 
@@ -119,7 +128,7 @@ def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
     stored = {}
     for entry in _require(obj, "assign", list):
         members = frozenset(_require(entry, "open", list))
-        pairs = [tuple(pair) for pair in _require(entry, "pairs", list)]
+        pairs = _parse_pairs(_require(entry, "pairs", list))
         stored[members] = Preorder.build(members, pairs)
     exact = bool(obj.get("exact", True))
     return StoredPrecirculation(space, stored, exact=exact)

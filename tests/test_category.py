@@ -377,6 +377,10 @@ class TestCoproduct:
         b = random_stream(rng, pool[2])
         cop, incs = coproduct_stream([a, b])
         assert is_circulation(cop.circ.as_precirculation(), "fast").ok
+        for s, inc in zip((a, b), incs):
+            for p in s.space.points:
+                tagged = {(inc(x), inc(y)) for x, y in s.gen_of(p).pairs()}
+                assert set(cop.gen_of(inc(p)).pairs()) == tagged
         for t_space in pool[:5]:
             t = random_stream(rng, t_space)
             for f in enumerate_stream_maps(a, t)[:5]:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from finstream import (
+    FuncPrecirculation,
     Preorder,
     Stream,
     all_opens,
@@ -442,3 +443,13 @@ class TestStoredPrecirculation:
         # full on every open fails gluing when the space is not connected
         disc = space_from_min_opens("xy", {"x": "x", "y": "y"})
         assert not is_circulation(chaotic_precirculation(disc), "fast").ok
+
+
+class TestFuncPrecirculation:
+    def test_value_off_its_open_raises_carrier_mismatch(self):
+        space = sierpinski_space()
+        pc = FuncPrecirculation(space, lambda mask: Preorder.identity(space.points))
+        assert pc.assign_mask(space.mask_of("ab")) == Preorder.identity("ab")
+        for _ in range(2):  # a rejected value is not memoized
+            with pytest.raises(CarrierMismatch):
+                pc.assign_mask(space.mask_of("b"))

@@ -187,6 +187,23 @@ class TestCombine:
         stream = load(str(prod))
         assert stream.space.n == 9
 
+    def test_failed_gluing_recheck_exits_1(self, tmp_path, capsys, monkeypatch):
+        from finstream import cli
+        from finstream.circulation import CirculationCheck, CosheafWitness
+
+        a = tmp_path / "a.json"
+        write(a, serialize_stream(directed_interval(1)))
+        failing = CirculationCheck(False, CosheafWitness((("e1",),), "e1", "v0"))
+        monkeypatch.setattr(cli, "is_circulation", lambda pc, mode: failing)
+        code, out, err = run(
+            capsys, "combine", "join", "--input", str(a), "--check-universal",
+        )
+        assert code == 1
+        assert out == ""
+        report = json.loads(err)
+        assert report["universal_spot_checks"] == "failed"
+        assert report["gluing"]["witness"]["pair"] == ["e1", "v0"]
+
     def test_quotient_interval_to_circle(self, tmp_path, capsys):
         a = tmp_path / "i2.json"
         write(a, serialize_stream(directed_interval(2)))
@@ -282,7 +299,8 @@ class TestExport:
 
 def malformed_cases():
     """Inputs that must exit 2 with one error line: a missing or bad builder
-    argument, truncated diagram JSON, and a diagram arrow missing a field."""
+    argument, truncated diagram JSON, a diagram arrow missing a field, a
+    diagram or atlas of the wrong shape, and a short generator pair."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
@@ -306,6 +324,22 @@ def malformed_cases():
         cases.append(
             pytest.param(["combine", "colimit", "--diagram"], json.dumps(broken), id=f"no-{field}")
         )
+    shapes = {
+        "objects-list": {"objects": [], "arrows": {}},
+        "arrows-list": {"objects": good["objects"], "arrows": []},
+        "object-number": {"objects": {"a": 5}, "arrows": {}},
+    }
+    for key, diagram in shapes.items():
+        cases.append(pytest.param(["combine", "limit", "--diagram"], json.dumps(diagram), id=key))
+    space = serialize_space(directed_interval(1).space)
+    specs = {
+        "atlas-list": {"atlas": []},
+        "atlas-no-space": {"atlas": {"charts": []}},
+        "chart-no-order": {"atlas": {"space": space, "charts": [{"points": ["e1"]}]}},
+        "gen-short-pair": {"points": ["a"], "min_open": {"a": ["a"]}, "gen": {"a": [["a"]]}},
+    }
+    for key, spec in specs.items():
+        cases.append(pytest.param(["build", "--input"], json.dumps(spec), id=key))
     return cases
 
 
