@@ -38,6 +38,8 @@ from .errors import FormatError, StreamError
 from .formats import (
     STREAM_FORMAT,
     _parse_pairs,
+    _point_map,
+    _point_names,
     _read_object,
     _require,
     canonical_dumps,
@@ -61,6 +63,14 @@ def _int_arg(args: dict, key: str) -> int:
         raise FormatError(f"builder argument {key!r} must be an integer") from None
 
 
+def _str_arg(args: dict, key: str, default: str) -> str:
+    """A builder's point-name argument."""
+    value = args.get(key, default)
+    if not isinstance(value, str):
+        raise FormatError(f"builder argument {key!r} must be a point name")
+    return value
+
+
 BUILDERS = {
     "directed_interval": lambda args: models.directed_interval(_int_arg(args, "n")),
     "directed_circle": lambda args: models.directed_circle(_int_arg(args, "n")),
@@ -68,7 +78,7 @@ BUILDERS = {
         _int_arg(args, "n"), _int_arg(args, "m")
     ),
     "boundary_square": lambda args: models.boundary_square(_int_arg(args, "n")),
-    "point": lambda args: models.point_stream(args.get("name", "pt")),
+    "point": lambda args: models.point_stream(_str_arg(args, "name", "pt")),
     "empty": lambda args: models.empty_stream(),
 }
 
@@ -90,7 +100,7 @@ def _load_stream(path: str) -> Stream:
 
 def _build_from_spec(obj: dict) -> Stream:
     if "builder" in obj:
-        name = obj["builder"]
+        name = _require(obj, "builder", str)
         if name not in BUILDERS:
             raise FormatError(f"unknown builder {name!r}")
         args = obj.get("args", {})
@@ -100,9 +110,12 @@ def _build_from_spec(obj: dict) -> Stream:
     if "atlas" in obj:
         atlas = _require(obj, "atlas", dict)
         space = parse_space(_require(atlas, "space", dict))
+        raw_charts = atlas.get("charts", [])
+        if not isinstance(raw_charts, list):
+            raise FormatError("atlas 'charts' must be a list")
         charts = []
-        for chart in atlas.get("charts", []):
-            members = _require(chart, "points", list)
+        for chart in raw_charts:
+            members = _point_names(_require(chart, "points"), "chart 'points'")
             pairs = _parse_pairs(_require(chart, "order", list))
             charts.append((members, Preorder.build(members, pairs)))
         return models.stream_from_atlas(space, charts)
@@ -213,7 +226,9 @@ def _load_diagram(path: str) -> StreamDiagram:
         if not isinstance(a, dict):
             raise FormatError(f"arrow {name!r} must be an object")
         arrows[name] = DiagramArrow(
-            _require(a, "source", str), _require(a, "target", str), _require(a, "map", dict)
+            _require(a, "source", str),
+            _require(a, "target", str),
+            _point_map(_require(a, "map"), f"arrow {name!r} 'map'"),
         )
     return StreamDiagram(objects, arrows)
 
@@ -246,6 +261,10 @@ def cmd_combine(args) -> int:
         if args.partition is None:
             raise FormatError("quotient needs --partition")
         partition = _parse_json_arg(args.partition, "--partition")
+        if not isinstance(partition, list):
+            raise FormatError("--partition must be a list of classes")
+        for cls in partition:
+            _point_names(cls, "a --partition class")
         stream, projection = quotient_stream(stream_in, partition)
         spot = ["projection is a stream map"]
     elif op == "substream":
@@ -253,7 +272,7 @@ def cmd_combine(args) -> int:
         stream_in = _load_stream(args.input[0])
         if args.points is None:
             raise FormatError("substream needs --points")
-        points = _parse_json_arg(args.points, "--points")
+        points = _point_names(_parse_json_arg(args.points, "--points"), "--points")
         stream, inclusion = substream(stream_in, points)
         spot = ["inclusion is a stream map"]
     elif op == "join":
@@ -268,7 +287,7 @@ def cmd_combine(args) -> int:
             raise FormatError("pushforward needs --space and --map")
         stream_in = _load_stream(args.input[0])
         target = _load_space(args.space)
-        mapping = _parse_json_arg(args.map, "--map")
+        mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
         circ = pushforward(stream_in, mapping, target)
         stream = Stream(target, circ)
         StreamMap(stream_in, stream, mapping)
@@ -279,7 +298,7 @@ def cmd_combine(args) -> int:
             raise FormatError("pullback-cosheafify needs --space and --map")
         stream_in = _load_stream(args.input[0])
         source_space = _load_space(args.space)
-        mapping = _parse_json_arg(args.map, "--map")
+        mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
         circ = cosheafify(pullback(stream_in, mapping, source_space))
         stream = Stream(source_space, circ)
         StreamMap(stream, stream_in, mapping)

@@ -96,9 +96,26 @@ def _parse_pairs(raw) -> list[tuple[str, str]]:
     return [tuple(pair) for pair in raw]
 
 
+def _point_names(raw, what: str) -> list[str]:
+    """A JSON list of point names (an open, a chart, a partition class)."""
+    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
+        raise FormatError(f"{what} must be a list of point names")
+    return raw
+
+
+def _point_map(raw, what: str) -> dict[str, str]:
+    """A JSON object sending point names to point names."""
+    if not isinstance(raw, dict) or not all(isinstance(q, str) for q in raw.values()):
+        raise FormatError(f"{what} must map point names to point names")
+    return raw
+
+
 def parse_space(obj: Mapping) -> FiniteSpace:
-    points = _require(obj, "points", list)
-    table = _require(obj, "min_open", dict)
+    points = _point_names(_require(obj, "points"), "field 'points'")
+    table = {
+        p: _point_names(members, f"min_open({p!r})")
+        for p, members in _require(obj, "min_open", dict).items()
+    }
     return space_from_min_opens(points, table)
 
 
@@ -127,7 +144,7 @@ def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
     space = parse_space(obj)
     stored = {}
     for entry in _require(obj, "assign", list):
-        members = frozenset(_require(entry, "open", list))
+        members = frozenset(_point_names(_require(entry, "open"), "field 'open'"))
         pairs = _parse_pairs(_require(entry, "pairs", list))
         stored[members] = Preorder.build(members, pairs)
     exact = bool(obj.get("exact", True))

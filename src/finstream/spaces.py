@@ -185,6 +185,11 @@ def is_connected(space: FiniteSpace, subset: Iterable[str] | None = None) -> boo
     mask = (
         (1 << space.n) - 1 if subset is None else space.mask_of(subset)
     )
+    return is_connected_mask(space, mask)
+
+
+def is_connected_mask(space: FiniteSpace, mask: int) -> bool:
+    """:func:`is_connected` for a subset given as a bitmask."""
     if not mask:
         return True
     undirected = {}

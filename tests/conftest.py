@@ -14,10 +14,13 @@ import pytest
 from finstream import (
     Stream,
     all_opens,
+    bounded_interval,
+    closure_set,
     directed_circle,
     directed_interval,
     directed_square,
     boundary_square,
+    is_connected,
     point_stream,
     specialization_circulation,
     trivial_stream,
@@ -63,6 +66,21 @@ def connected_oracle(space, subset):
             if a and b and not (a & b) and (a | b) == members:
                 return False
     return True
+
+
+def connected_intervals_oracle(s):
+    """check_connected_intervals on point-name sets: the bounded interval of
+    the underlying preorder for each pair (x then y, in point order), its
+    closure, and the connectivity of that closure."""
+    under = s.underlying()
+    for x in s.space.points:
+        for y in s.space.points:
+            interval = bounded_interval(under, x, y)
+            if not interval:
+                continue
+            if not is_connected(s.space, closure_set(s.space, interval)):
+                return False, (x, y)
+    return True, None
 
 
 def open_sets(space):

@@ -3,11 +3,14 @@ import itertools
 import pytest
 
 from finstream import (
+    Circulation,
     FuncPrecirculation,
+    Precirculation,
     Preorder,
     Stream,
     all_opens,
     alternating_witness,
+    boundary_square,
     chain_witness,
     chaotic_precirculation,
     check_antisymmetric_convexity,
@@ -19,6 +22,8 @@ from finstream import (
     circulation_from_generators,
     directed_circle,
     directed_interval,
+    directed_square,
+    empty_stream,
     half_cosheaf_holds,
     is_circulation,
     is_convex,
@@ -30,7 +35,8 @@ from finstream import (
     trivial_stream,
     validate_alternating_witness,
 )
-from finstream.corpus import random_precirculation, random_stream
+from finstream.circulation import CirculationView, _generated_on_min_opens
+from finstream.corpus import random_precirculation, random_preorder, random_stream
 from finstream.errors import (
     CarrierMismatch,
     NeighborhoodConditionFailed,
@@ -41,11 +47,34 @@ from finstream.errors import (
 from finstream.models import pathology_fixture
 from finstream.spaces import space_from_min_opens
 
-from conftest import closure_oracle, open_sets
+from conftest import closure_oracle, connected_intervals_oracle, open_sets
 
 
 def sierpinski_space():
     return space_from_min_opens("ab", {"a": "ab", "b": "b"})
+
+
+def model_streams():
+    return [
+        directed_interval(3),
+        directed_interval(5),
+        directed_circle(4),
+        directed_square(1, 1),
+        directed_square(2, 1),
+        boundary_square(1),
+        boundary_square(2),
+        empty_stream(),
+    ]
+
+
+def leaving_circulation():
+    """A hand-built circulation on the discrete space {x, y} whose generator
+    for x sits on {x, y} and relates y to x: a nonzero row off min_open(x).
+    The value on {x, y} relates y to x, the minimal-open values do not, so
+    gluing fails there."""
+    space = space_from_min_opens("xy", {"x": "x", "y": "y"})
+    gen_x = Preorder.build("xy", [("x", "x"), ("y", "y"), ("y", "x")])
+    return Circulation(space, (gen_x, Preorder.identity("y")))
 
 
 class TestGenerators:
@@ -234,6 +263,60 @@ class TestJoinCirculations:
             )
 
 
+class TestGeneratorShortcut:
+    """is_circulation (fast) and check_monotone answer a circulation's own
+    values from its generators. The oracle is the open-lattice scan of the
+    same values through a plain Precirculation."""
+
+    @staticmethod
+    def assert_matches_scan(circ, monotone=True):
+        view = circ.as_precirculation()
+        plain = Precirculation(circ.space, circ.value_rows)
+        assert is_circulation(view, "fast") == is_circulation(plain, "fast")
+        if monotone:
+            assert check_monotone(view) == check_monotone(plain)
+
+    def test_streams_match_scan(self, corpus_streams):
+        for s in corpus_streams + model_streams():
+            assert _generated_on_min_opens(s.circ.as_precirculation())
+            self.assert_matches_scan(s.circ, monotone=s.space.n <= 9)
+
+    def test_unsaturated_families_match_scan(self, rng, small_spaces):
+        for space in small_spaces:
+            gen = tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
+            circ = Circulation(space, gen)
+            assert is_circulation(circ.as_precirculation(), "fast").ok
+            self.assert_matches_scan(circ)
+
+    def test_generator_off_its_min_open_is_scanned(self):
+        circ = leaving_circulation()
+        view = circ.as_precirculation()
+        assert isinstance(view, CirculationView) and not _generated_on_min_opens(view)
+        result = is_circulation(view, "fast")
+        assert not result.ok
+        assert result.witness.collection == (("x",), ("y",))
+        assert (result.witness.x, result.witness.y) == ("y", "x")
+        self.assert_matches_scan(circ)
+
+    def test_carrier_off_its_min_open_is_scanned(self):
+        space = space_from_min_opens("xy", {"x": "x", "y": "y"})
+        circ = Circulation(space, (Preorder.identity("xy"), Preorder.identity("y")))
+        assert not _generated_on_min_opens(circ.as_precirculation())
+        assert is_circulation(circ.as_precirculation(), "fast").ok
+        self.assert_matches_scan(circ)
+
+    def test_stream_checks_enumerate_no_opens(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("open lattice enumerated")
+
+        monkeypatch.setattr("finstream.circulation.all_opens", no_enumeration)
+        pc = directed_interval(14).circ.as_precirculation()
+        assert is_circulation(pc, "fast").ok
+        assert check_monotone(pc) == (True, None)
+        with pytest.raises(AssertionError, match="enumerated"):
+            is_circulation(leaving_circulation().as_precirculation(), "fast")
+
+
 class TestMonotonicityAndHalfCosheaf:
     def test_circulations_monotone(self, corpus_streams):
         for s in corpus_streams:
@@ -323,6 +406,18 @@ class TestConnectedIntervals:
         for s in corpus_streams:
             ok, witness = check_connected_intervals(s)
             assert ok, (s, witness)
+
+    def test_matches_point_set_oracle(self, corpus_streams):
+        larger = [directed_interval(16), directed_circle(8), directed_square(3, 3)]
+        for s in corpus_streams + model_streams() + larger:
+            assert check_connected_intervals(s) == connected_intervals_oracle(s)
+
+    def test_failure_matches_point_set_oracle(self):
+        # x's generator leaves its minimal open and relates y to x on a
+        # discrete space, so the closure of [y, x] is disconnected.
+        circ = leaving_circulation()
+        s = Stream(circ.space, circ)
+        assert check_connected_intervals(s) == connected_intervals_oracle(s) == (False, ("y", "x"))
 
 
 class TestConvexRestriction:

@@ -4,7 +4,14 @@ import pytest
 
 from finstream import directed_circle, directed_interval, tuple_point
 from finstream.cli import main
-from finstream.formats import canonical_dumps, load, serialize_space, serialize_stream
+from finstream.formats import (
+    canonical_dumps,
+    load,
+    serialize_precirculation,
+    serialize_space,
+    serialize_stream,
+)
+from finstream.models import pathology_fixture
 
 
 def write(path, obj):
@@ -118,9 +125,6 @@ class TestCheck:
         assert not json.loads(out)["ok"]
 
     def test_pathology_precirculation_fails_with_witness(self, tmp_path, capsys):
-        from finstream.formats import serialize_precirculation
-        from finstream.models import pathology_fixture
-
         path = tmp_path / "pulled.json"
         write(path, serialize_precirculation(pathology_fixture().pulled))
         code, out, _ = run(
@@ -139,6 +143,20 @@ class TestCheck:
         write(path, serialize_stream(empty_stream()))
         code, out, _ = run(capsys, "check", "--input", str(path), "--which", "all")
         assert code == 0
+
+    def test_stream_gluing_checks_enumerate_no_opens(self, tmp_path, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("open lattice enumerated")
+
+        path = tmp_path / "i14.json"
+        write(path, serialize_stream(directed_interval(14)))
+        monkeypatch.setattr("finstream.circulation.all_opens", no_enumeration)
+        code, out, _ = run(capsys, "check", "--input", str(path), "--which", "circulation")
+        assert code == 0 and json.loads(out)["ok"]
+        code, _, err = run(
+            capsys, "combine", "join", "--input", str(path), "--check-universal",
+        )
+        assert code == 0 and json.loads(err)["universal_spot_checks"] == "passed"
 
 
 class TestQuery:
@@ -299,13 +317,15 @@ class TestExport:
 
 def malformed_cases():
     """Inputs that must exit 2 with one error line: a missing or bad builder
-    argument, truncated diagram JSON, a diagram arrow missing a field, a
-    diagram or atlas of the wrong shape, and a short generator pair."""
+    name or argument, truncated diagram JSON, a diagram arrow missing a
+    field, a diagram or atlas of the wrong shape, a short generator pair, and
+    point names, point lists and point maps nested one level too deep."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
         ("directed_interval", {"n": "x"}), ("directed_interval", {"n": 0}),
         ("directed_circle", {"n": 1}), ("directed_square", {"n": "two", "m": 1}),
+        ([], {}), ("point", {"name": []}), ("point", {"name": 5}),
     ]
     cases = [
         pytest.param(["build", "--input"], json.dumps({"builder": b, "args": a}), id=f"{b}-{a}")
@@ -337,9 +357,30 @@ def malformed_cases():
         "atlas-no-space": {"atlas": {"charts": []}},
         "chart-no-order": {"atlas": {"space": space, "charts": [{"points": ["e1"]}]}},
         "gen-short-pair": {"points": ["a"], "min_open": {"a": ["a"]}, "gen": {"a": [["a"]]}},
+        "charts-number": {"atlas": {"space": space, "charts": 5}},
+        "chart-points-nested": {"atlas": {"space": space, "charts": [{"points": [["e1"]], "order": []}]}},
+        "points-nested": {"points": [["a"]], "min_open": {"a": ["a"]}, "gen": {"a": []}},
+        "min-open-number": {"points": ["a"], "min_open": {"a": 5}, "gen": {"a": []}},
+        "min-open-nested": {"points": ["a"], "min_open": {"a": [["a"]]}, "gen": {"a": []}},
     }
     for key, spec in specs.items():
         cases.append(pytest.param(["build", "--input"], json.dumps(spec), id=key))
+    precirculation = serialize_precirculation(pathology_fixture().pulled)
+    precirculation["assign"][0]["open"] = [["e1"]]
+    cases.append(pytest.param(["check", "--input"], json.dumps(precirculation), id="open-nested"))
+    interval = json.dumps(serialize_stream(directed_interval(1)))
+    arguments = {
+        "partition-number": ["quotient", "--partition", "[5]"],
+        "partition-nested": ["quotient", "--partition", '[[["v0"]], ["v1"], ["e1"]]'],
+        "substream-points-nested": ["substream", "--points", '[["v0"]]'],
+    }
+    for key, argv in arguments.items():
+        cases.append(pytest.param(["combine", *argv, "--input"], interval, id=key))
+    nested_map = json.loads(text)
+    nested_map["arrows"]["a1"]["map"]["e1"] = ["e1"]
+    cases.append(
+        pytest.param(["combine", "limit", "--diagram"], json.dumps(nested_map), id="arrow-map-nested")
+    )
     return cases
 
 
