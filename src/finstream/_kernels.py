@@ -1,4 +1,4 @@
-"""Transitive-reflexive closure on bitmask rows."""
+"""Bitmask-row kernels: transitive-reflexive closure and bit gathering."""
 
 BACKEND = "python"
 
@@ -25,4 +25,31 @@ def closure_rows(rows, n):
         for i in active:
             if out[i] & bit:
                 out[i] |= rk
+    return tuple(out)
+
+
+def gather_rows(rows, mask):
+    """Compress each row to the bits at the set positions of mask.
+
+    Bit k of an output row is the input row's bit at the k-th lowest set
+    position of mask, so restricting full-carrier rows to a sub-carrier
+    whose points sit at those positions renumbers them 0, 1, ... in order.
+    The mask is split once into maximal runs of set bits; each row then
+    costs one shift-and-mask per run instead of one test per bit.
+    """
+    runs = []
+    offset = 0
+    while mask:
+        start = (mask & -mask).bit_length() - 1
+        high = mask >> start
+        run = high & ~(high + 1)
+        runs.append((start, run, offset))
+        offset += run.bit_length()
+        mask ^= run << start
+    out = []
+    for row in rows:
+        value = 0
+        for start, run, shift in runs:
+            value |= (row >> start & run) << shift
+        out.append(value)
     return tuple(out)

@@ -41,8 +41,6 @@ from .spaces import (
     is_continuous,
     product_space,
     quotient_space,
-    space_from_min_opens,
-    subspace,
 )
 
 
@@ -89,7 +87,9 @@ def is_stream_map(
 
 @dataclass(frozen=True, eq=False)
 class StreamMap:
-    """A verified stream map; construction re-checks the definition."""
+    """A verified stream map; public construction re-checks the definition
+    (legs that universal constructions return are stream maps by
+    construction and skip it, see :meth:`_by_construction`)."""
 
     source: Stream
     target: Stream
@@ -101,6 +101,19 @@ class StreamMap:
             raise NotContinuous("not continuous, hence not a stream map")
         if not check.ok:
             raise NotStreamMap(f"order not preserved on {check.witness[0]!r}")
+
+    @classmethod
+    def _by_construction(
+        cls, source: Stream, target: Stream, mapping: dict[str, str]
+    ) -> "StreamMap":
+        """A leg that a universal construction makes a stream map by
+        definition; skips the re-check (the test suite runs
+        :func:`is_stream_map` on every such leg)."""
+        leg = object.__new__(cls)
+        object.__setattr__(leg, "source", source)
+        object.__setattr__(leg, "target", target)
+        object.__setattr__(leg, "mapping", mapping)
+        return leg
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -142,7 +155,7 @@ def final_structure(
     else:
         circ = trivial_circulation(target)
     stream = Stream(target, circ)
-    return stream, [StreamMap(s, stream, dict(f)) for s, f in legs]
+    return stream, [StreamMap._by_construction(s, stream, dict(f)) for s, f in legs]
 
 
 def initial_structure(
@@ -164,7 +177,7 @@ def initial_structure(
 
     circ = cosheafify(Precirculation(source, meet))
     stream = Stream(source, circ)
-    return stream, [StreamMap(stream, s, dict(f)) for f, s in legs]
+    return stream, [StreamMap._by_construction(stream, s, dict(f)) for f, s in legs]
 
 
 def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
@@ -201,14 +214,18 @@ def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
     stream = Stream(space, circ)
     first = {p: xy[0] for p, xy in pairs.items()}
     second = {p: xy[1] for p, xy in pairs.items()}
-    return stream, StreamMap(stream, s, first), StreamMap(stream, t, second)
+    return (
+        stream,
+        StreamMap._by_construction(stream, s, first),
+        StreamMap._by_construction(stream, t, second),
+    )
 
 
 def substream(s: Stream, points: Iterable[str]) -> tuple[Stream, StreamMap]:
     """Subspace with the largest circulation making inclusion a stream map."""
     sub, circ = substream_circulation(s, points)
     stream = Stream(sub, circ)
-    return stream, StreamMap(stream, s, {p: p for p in sub.points})
+    return stream, StreamMap._by_construction(stream, s, {p: p for p in sub.points})
 
 
 def quotient_stream(
@@ -218,7 +235,7 @@ def quotient_stream(
     space, projection = quotient_space(s.space, partition)
     circ = pushforward(s, projection, space)
     stream = Stream(space, circ)
-    return stream, StreamMap(s, stream, projection)
+    return stream, StreamMap._by_construction(s, stream, projection)
 
 
 def coproduct_stream(
@@ -258,38 +275,79 @@ class StreamDiagram:
         return sorted(self.objects)
 
 
-def _product_many(spaces: Sequence[FiniteSpace]) -> tuple[FiniteSpace, dict[str, tuple[str, ...]]]:
-    """Flat product; a single factor keeps its own point names, so one-object
-    limits return the object itself."""
-    if len(spaces) == 1:
-        return spaces[0], {p: (p,) for p in spaces[0].points}
-    combos = list(itertools.product(*(sp.points for sp in spaces)))
-    assoc = {tuple_point(*combo): combo for combo in combos}
-    table = {}
-    for name, combo in assoc.items():
-        opens = [sp.min_open(x) for sp, x in zip(spaces, combo)]
-        table[name] = {tuple_point(*c) for c in itertools.product(*opens)}
-    return space_from_min_opens(assoc.keys(), table), assoc
+def _product_many(
+    spaces: Sequence[FiniteSpace],
+    arrows: Sequence[tuple[int, int, Mapping[str, str]]],
+) -> tuple[FiniteSpace, dict[str, tuple[str, ...]]]:
+    """The compatible tuples of the spaces, as a subspace of their product.
+
+    A tuple t is compatible when mapping[t[i]] == t[j] for every arrow
+    (i, j, mapping). Coordinates are assigned in order and each arrow is
+    tested as soon as both of its ends are assigned, so an arrow from an
+    earlier coordinate forces the later one and only compatible tuples are
+    built. Product points are named with :func:`tuple_point`; a single
+    factor keeps its own point names, so one-object limits return the
+    object itself (cut down by its self-loops).
+
+    The minimal open of t in the subspace is the set of compatible s with
+    s[i] in min_open(t[i]) for every i: the AND over coordinates of one
+    mask per (coordinate, point), computed straight on the tuples."""
+    k = len(spaces)
+    forced: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
+    checked: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
+    for i, j, mapping in arrows:
+        if i < j:
+            forced[j].append((i, mapping))
+        else:
+            checked[i].append((j, mapping))
+    combo: list[str] = [""] * k
+    combos: list[tuple[str, ...]] = []
+
+    def extend(j: int) -> None:
+        if j == k:
+            combos.append(tuple(combo))
+            return
+        if forced[j]:
+            i, mapping = forced[j][0]
+            candidates: Sequence[str] = (mapping[combo[i]],)
+        else:
+            candidates = spaces[j].points
+        for x in candidates:
+            combo[j] = x
+            if all(mapping[combo[i]] == x for i, mapping in forced[j]) and all(
+                mapping[x] == combo[i] for i, mapping in checked[j]
+            ):
+                extend(j + 1)
+
+    extend(0)
+    assoc = {c[0] if k == 1 else tuple_point(*c): c for c in combos}
+    points = tuple(sorted(assoc))
+    coords = [[sp.index(x) for sp, x in zip(spaces, assoc[p])] for p in points]
+    ups = []
+    for i, sp in enumerate(spaces):
+        select = [0] * sp.n
+        for t, c in enumerate(coords):
+            select[c[i]] |= 1 << t
+        # the select masks of distinct points are disjoint, so sum is OR
+        ups.append([sum(select[y] for y in iter_bits(row)) for row in sp.min_open_rows])
+    rows = []
+    for c in coords:
+        row = (1 << len(points)) - 1
+        for up, x in zip(ups, c):
+            row &= up[x]
+        rows.append(row)
+    return FiniteSpace(points, tuple(rows)), assoc
 
 
 def limit(diagram: StreamDiagram) -> tuple[Stream, dict[str, StreamMap]]:
     """Compatible tuples inside the product of the objects, with the initial
     structure over the projections."""
     keys = diagram.object_keys()
-    streams = [diagram.objects[k] for k in keys]
-    prod, assoc = _product_many([s.space for s in streams])
     slot = {k: i for i, k in enumerate(keys)}
-    compatible = []
-    for name, combo in assoc.items():
-        ok = True
-        for arrow in diagram.arrows.values():
-            x = combo[slot[arrow.source]]
-            if arrow.mapping[x] != combo[slot[arrow.target]]:
-                ok = False
-                break
-        if ok:
-            compatible.append(name)
-    base = subspace(prod, compatible)
+    base, assoc = _product_many(
+        [diagram.objects[k].space for k in keys],
+        [(slot[a.source], slot[a.target], a.mapping) for a in diagram.arrows.values()],
+    )
     legs = {
         k: {name: assoc[name][slot[k]] for name in base.points} for k in keys
     }

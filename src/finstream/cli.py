@@ -54,13 +54,14 @@ from .spaces import FiniteSpace
 
 
 def _int_arg(args: dict, key: str) -> int:
-    """A builder's integer argument; the model checks its range."""
+    """A builder's integer argument, a JSON integer (not a boolean); the
+    model checks its range."""
     if key not in args:
         raise FormatError(f"builder needs argument {key!r}")
-    try:
-        return int(args[key])
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"builder argument {key!r} must be an integer") from None
+    value = args[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"builder argument {key!r} must be an integer")
+    return value
 
 
 def _str_arg(args: dict, key: str, default: str) -> str:

@@ -147,7 +147,9 @@ def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
         members = frozenset(_point_names(_require(entry, "open"), "field 'open'"))
         pairs = _parse_pairs(_require(entry, "pairs", list))
         stored[members] = Preorder.build(members, pairs)
-    exact = bool(obj.get("exact", True))
+    exact = obj.get("exact", True)
+    if not isinstance(exact, bool):
+        raise FormatError("field 'exact' must be true or false")
     return StoredPrecirculation(space, stored, exact=exact)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from ._kernels import closure_rows
+from ._kernels import closure_rows, gather_rows
 from .errors import InvalidPreorder, UnknownPoint
 
 
@@ -101,12 +101,8 @@ class Relation:
     def restrict(self, subset: Iterable[str]) -> "Relation":
         """The relation induced on a sub-carrier: graph intersected with A x A."""
         sub = tuple(sorted(set(subset)))
-        old = [self.index(p) for p in sub]
-        rows = []
-        for i in old:
-            row = self.rows[i]
-            rows.append(sum((row >> j & 1) << k for k, j in enumerate(old)))
-        return type(self)(sub, tuple(rows))
+        mask = self.mask_of(sub)
+        return type(self)(sub, gather_rows([self.rows[i] for i in iter_bits(mask)], mask))
 
     def inverse(self) -> "Relation":
         rows = [0] * self.n

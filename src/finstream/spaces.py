@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from ._kernels import gather_rows
 from .errors import (
     InvalidPartition,
     MissingPoint,
@@ -215,18 +216,8 @@ def subspace(space: FiniteSpace, subset: Iterable[str]) -> FiniteSpace:
     its ambient minimal open, which is already minimal in the subspace."""
     sub = tuple(sorted(set(subset)))
     mask = space.mask_of(sub)
-    rows = []
-    for p in sub:
-        rows.append(_remap_mask(space.min_open_rows[space.index(p)] & mask, space, sub))
-    return FiniteSpace(sub, tuple(rows))
-
-
-def _remap_mask(mask: int, space: FiniteSpace, sub: Sequence[str]) -> int:
-    out = 0
-    for k, p in enumerate(sub):
-        if mask >> space.index(p) & 1:
-            out |= 1 << k
-    return out
+    rows = gather_rows([space.min_open_rows[i] for i in iter_bits(mask)], mask)
+    return FiniteSpace(sub, rows)
 
 
 def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:

@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,10 +21,14 @@ from finstream import (
     directed_interval,
     directed_square,
     boundary_square,
+    initial_structure,
     is_connected,
     point_stream,
+    space_from_min_opens,
     specialization_circulation,
+    subspace,
     trivial_stream,
+    tuple_point,
 )
 from finstream.corpus import all_spaces, random_stream, spaces_upto
 
@@ -94,6 +99,45 @@ def continuity_oracle(f, src, dst):
         frozenset(p for p in src.points if f[p] in v) in src_opens
         for v in open_sets(dst)
     )
+
+
+def limit_oracle(diagram):
+    """limit by building the whole product of the objects' spaces, keeping
+    the tuples every arrow respects and cutting the product down to them,
+    with the initial structure over the projections."""
+    keys = diagram.object_keys()
+    spaces = [diagram.objects[k].space for k in keys]
+    if len(spaces) == 1:
+        prod, assoc = spaces[0], {p: (p,) for p in spaces[0].points}
+    else:
+        assoc = {
+            tuple_point(*combo): combo
+            for combo in itertools.product(*(sp.points for sp in spaces))
+        }
+        table = {
+            name: {
+                tuple_point(*c)
+                for c in itertools.product(*(sp.min_open(x) for sp, x in zip(spaces, combo)))
+            }
+            for name, combo in assoc.items()
+        }
+        prod = space_from_min_opens(assoc.keys(), table)
+    slot = {k: i for i, k in enumerate(keys)}
+    compatible = [
+        name
+        for name, combo in assoc.items()
+        if all(
+            arrow.mapping[combo[slot[arrow.source]]] == combo[slot[arrow.target]]
+            for arrow in diagram.arrows.values()
+        )
+    ]
+    base = subspace(prod, compatible)
+    legs = [
+        ({name: assoc[name][slot[k]] for name in base.points}, diagram.objects[k])
+        for k in keys
+    ]
+    stream, stream_legs = initial_structure(base, legs)
+    return stream, dict(zip(keys, stream_legs))
 
 
 @pytest.fixture(scope="session")

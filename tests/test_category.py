@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -31,9 +32,13 @@ from finstream import (
     trivial_stream,
     tuple_point,
 )
-from finstream.corpus import random_stream
+from finstream import category
+from finstream.corpus import random_continuous_map, random_partition, random_stream
 from finstream.errors import IllTypedDiagram, NotStreamMap
+from finstream.formats import canonical_dumps, serialize_stream
 from finstream.spaces import space_from_min_opens
+
+from conftest import limit_oracle
 
 
 def circle_rotation(n):
@@ -514,6 +519,108 @@ class TestLimitsAndColimits:
             )
         with pytest.raises(IllTypedDiagram):
             StreamDiagram({"A": circle}, {"f": DiagramArrow("A", "Z", circle_rotation(2))})
+
+
+# Diagram shapes: object names and (source, target) arrows. Objects are
+# assigned in name order, so an arrow from a later name to an earlier one is
+# tested after both ends are chosen instead of forcing its target.
+SHAPES = {
+    "chain": ("abc", ["ab", "bc"]),
+    "reversed-chain": ("abc", ["cb", "ba"]),
+    "span": ("abc", ["ba", "bc"]),
+    "cospan": ("abc", ["ab", "cb"]),
+    "parallel": ("ab", ["ab", "ab"]),
+    "self-loop": ("ab", ["aa", "ba"]),
+    "arrowless-object": ("abc", ["ab"]),
+    "product": ("ab", []),
+    "one-object": ("a", []),
+    "one-object-self-loop": ("a", ["aa"]),
+    "empty": ("", []),
+}
+
+
+def random_diagram(rng, spaces, shape):
+    """Random streams on the given spaces, each arrow a random stream map."""
+    names, arrows = SHAPES[shape]
+    objects = {k: random_stream(rng, rng.choice(spaces)) for k in names}
+    return StreamDiagram(
+        objects,
+        {
+            f"f{i}": DiagramArrow(a, b, rng.choice(enumerate_stream_maps(objects[a], objects[b])))
+            for i, (a, b) in enumerate(arrows)
+        },
+    )
+
+
+def limit_json(diagram, result):
+    stream, legs = result
+    assert all(legs[k].source is stream and legs[k].target is diagram.objects[k] for k in legs)
+    return canonical_dumps(
+        {"stream": serialize_stream(stream), "legs": {k: leg.mapping for k, leg in legs.items()}}
+    )
+
+
+class TestLimitOracle:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_product_then_filter(self, tiny_spaces, shape):
+        rng = random.Random(f"limit-{shape}")
+        spaces = [sp for sp in tiny_spaces if sp.n > 0]
+        for _ in range(12):
+            d = random_diagram(rng, spaces, shape)
+            assert limit_json(d, limit(d)) == limit_json(d, limit_oracle(d))
+
+    def test_builds_only_compatible_tuples(self, monkeypatch):
+        built = []
+        product_many = category._product_many
+
+        def spy(*args, **kwargs):
+            result = product_many(*args, **kwargs)
+            built.append(result[0].n)
+            return result
+
+        monkeypatch.setattr(category, "_product_many", spy)
+        interval = directed_interval(3)
+        link = {p: p for p in interval.space.points}
+        d = StreamDiagram(
+            {f"o{i}": interval for i in range(6)},
+            {f"a{i}": DiagramArrow(f"o{i}", f"o{i + 1}", link) for i in range(5)},
+        )
+        lim, legs = limit(d)
+        assert lim.space.n == 7 and built == [7]
+        diagonal = {tuple_point(*[x] * 6): x for x in interval.space.points}
+        assert all(leg.mapping == diagonal for leg in legs.values())
+
+
+class TestLegsByConstruction:
+    """Legs of universal constructions skip the StreamMap re-check; the
+    definition still holds for every one of them."""
+
+    def test_every_leg_is_a_stream_map(self, corpus_streams, tiny_spaces):
+        rng = random.Random(7)
+        sample = rng.sample(corpus_streams, 40)
+        spaces = [sp for sp in tiny_spaces if sp.n > 0]
+        legs = []
+        for s, t in zip(sample[::2], sample[1::2]):
+            legs += product_stream(s, t)[1:]
+            legs += coproduct_stream([s, t])[1]
+        for s in sample:
+            points = s.space.points
+            legs.append(substream(s, rng.sample(points, rng.randint(0, len(points))))[1])
+            if points:
+                legs.append(quotient_stream(s, random_partition(rng, points))[1])
+            other = rng.choice(spaces)
+            f = random_continuous_map(rng, s.space, other)
+            legs += final_structure(other, [(s, f)])[1]
+            g = random_continuous_map(rng, other, s.space)
+            if g is not None:
+                legs += initial_structure(other, [(g, s)])[1]
+        for shape in SHAPES:
+            for _ in range(3):
+                d = random_diagram(rng, spaces, shape)
+                legs += limit(d)[1].values()
+                legs += colimit(d)[1].values()
+        for leg in legs:
+            assert is_stream_map(leg.mapping, leg.source, leg.target).ok
 
 
 class TestBoxIdentity:

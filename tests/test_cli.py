@@ -317,15 +317,18 @@ class TestExport:
 
 def malformed_cases():
     """Inputs that must exit 2 with one error line: a missing or bad builder
-    name or argument, truncated diagram JSON, a diagram arrow missing a
-    field, a diagram or atlas of the wrong shape, a short generator pair, and
-    point names, point lists and point maps nested one level too deep."""
+    name or argument (a float or a boolean is not an integer), truncated
+    diagram JSON, a diagram arrow missing a field, a diagram or atlas of the
+    wrong shape, a short generator pair, a precirculation whose ``exact`` is
+    not a boolean, and point names, point lists and point maps nested one
+    level too deep."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
         ("directed_interval", {"n": "x"}), ("directed_interval", {"n": 0}),
         ("directed_circle", {"n": 1}), ("directed_square", {"n": "two", "m": 1}),
         ([], {}), ("point", {"name": []}), ("point", {"name": 5}),
+        ("directed_interval", {"n": 1.5}), ("directed_interval", {"n": True}),
     ]
     cases = [
         pytest.param(["build", "--input"], json.dumps({"builder": b, "args": a}), id=f"{b}-{a}")
@@ -366,6 +369,10 @@ def malformed_cases():
     for key, spec in specs.items():
         cases.append(pytest.param(["build", "--input"], json.dumps(spec), id=key))
     precirculation = serialize_precirculation(pathology_fixture().pulled)
+    for key, exact in (("exact-string", "false"), ("exact-list", [1])):
+        cases.append(
+            pytest.param(["check", "--input"], json.dumps({**precirculation, "exact": exact}), id=key)
+        )
     precirculation["assign"][0]["open"] = [["e1"]]
     cases.append(pytest.param(["check", "--input"], json.dumps(precirculation), id="open-nested"))
     interval = json.dumps(serialize_stream(directed_interval(1)))

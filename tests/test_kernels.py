@@ -1,7 +1,7 @@
 import random
 
 import finstream
-from finstream._kernels import BACKEND, closure_rows
+from finstream._kernels import BACKEND, closure_rows, gather_rows
 
 from conftest import closure_oracle
 
@@ -49,3 +49,26 @@ def test_python_kernel_matches_oracle():
 def test_selected_backend_is_exported():
     assert BACKEND == finstream.kernel_backend == "python"
     assert closure_rows([0b10, 0b00], 2) == (0b11, 0b10)
+
+
+def gather_oracle(rows, mask):
+    """One bit test per set position of the mask, lowest first."""
+    positions = [j for j in range(mask.bit_length()) if mask >> j & 1]
+    return tuple(
+        sum((row >> j & 1) << k for k, j in enumerate(positions)) for row in rows
+    )
+
+
+def test_gather_rows_matches_per_bit_oracle():
+    rng = random.Random(2)
+    for n in (0, 1, 5, 64, 70, 289):
+        full = (1 << n) - 1
+        alternating = sum(1 << j for j in range(0, n, 2))
+        rows = [rng.getrandbits(n) if n else 0 for _ in range(12)]
+        masks = [0, full, alternating, full ^ alternating]
+        masks += [1 << j for j in {0, 63, 64, n - 1} if 0 <= j < n]
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) if n else 0 for _ in range(20)]
+        for mask in masks:
+            assert gather_rows(rows, mask) == gather_oracle(rows, mask)
+    assert gather_rows([], 0b101) == ()
+    assert gather_rows([0b111], 0) == (0,)
