@@ -188,42 +188,46 @@ def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
     return Precirculation(space, full)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Circulation:
     """A circulation stored by its minimal-open values, one per point,
     saturated so that gen(x) is the join of the gens inside min_open(x).
 
-    Values are computed on full-space rows; ``gen`` holds the generators as
-    Preorders for callers, ``_gen_rows`` the same generators as rows."""
+    Construction enforces one generator per point, on exactly that point's
+    minimal open (``CarrierMismatch`` otherwise), so the gluing and
+    monotonicity checks accept a circulation's own values without a scan.
+
+    ``gen`` holds the generators as Preorders for callers, ``_gen_rows`` the
+    same generators as full-space rows. Values are memoized once, in the
+    lazily made view ``as_precirculation`` returns; ``value_rows`` and
+    ``value_mask`` read through it."""
 
     space: FiniteSpace
     gen: tuple[Preorder, ...]
+
+    def __post_init__(self):
+        space, gen = self.space, self.gen
+        if len(gen) < space.n:
+            raise CarrierMismatch(f"no generator for {space.points[len(gen)]!r}")
+        if len(gen) > space.n:
+            raise CarrierMismatch(f"{len(gen)} generators for {space.n} points")
+        for x, mo, p in zip(space.points, space.min_open_rows, gen):
+            if frozenset(p.carrier) != space.set_of(mo):
+                raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
 
     @cached_property
     def _gen_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_embed_rows(p, self.space) for p in self.gen)
 
     @cached_property
-    def _memo(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    @cached_property
-    def _lock(self) -> threading.Lock:
-        return threading.Lock()
+    def _view(self) -> CirculationView:
+        return CirculationView(self)
 
     def gen_of(self, x: str) -> Preorder:
         return self.gen[self.space.index(x)]
 
     def value_rows(self, mask: int) -> tuple[int, ...]:
-        require_open_mask(self.space, mask)
-        with self._lock:
-            hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        out = _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
-        with self._lock:
-            self._memo[mask] = out
-        return out
+        return self._view.rows_on(mask)
 
     def value_mask(self, mask: int) -> Preorder:
         return _extract_preorder(self.space, mask, self.value_rows(mask))
@@ -234,16 +238,8 @@ class Circulation:
     def underlying(self) -> Preorder:
         return self.value_mask((1 << self.space.n) - 1)
 
-    def as_precirculation(self) -> Precirculation:
-        return CirculationView(self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Circulation):
-            return NotImplemented
-        return self.space == other.space and self.gen == other.gen
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.gen))
+    def as_precirculation(self) -> CirculationView:
+        return self._view
 
     def __repr__(self) -> str:
         table = {x: sorted(self.gen_of(x).pairs()) for x in self.space.points}
@@ -251,32 +247,21 @@ class Circulation:
 
 
 class CirculationView(Precirculation):
-    """A circulation's own values as a precirculation. It keeps the
-    circulation, so the gluing and monotonicity checks can answer from its
-    generators (see :func:`_generated_on_min_opens`)."""
+    """A circulation's own values as a precirculation, and the circulation's
+    one value memo: it joins the generator rows over each open it is asked
+    for. It holds those rows, not the circulation, so dropping a circulation
+    frees it and its memo without waiting for the cyclic collector.
+
+    Only :meth:`Circulation.as_precirculation` should make one; its values
+    are then a circulation's, which the gluing and monotonicity checks
+    accept without a scan."""
 
     def __init__(self, circ: Circulation):
-        super().__init__(circ.space, circ.value_rows)
-        self.circ = circ
+        super().__init__(circ.space)
+        self._gen_rows = circ._gen_rows
 
-
-def _generated_on_min_opens(pc: Precirculation) -> bool:
-    """Is pc a circulation's own values, with one generator per point whose
-    rows and bits all lie inside that point's minimal open?
-
-    Costs O(n) row tests per generator, without enumerating any open."""
-    if not isinstance(pc, CirculationView):
-        return False
-    space = pc.circ.space
-    if len(pc.circ.gen) != space.n:
-        return False
-    for mo, rows in zip(space.min_open_rows, pc.circ._gen_rows):
-        inside = [rows[k] for k in iter_bits(mo)]
-        if any(row & ~mo for row in inside):
-            return False
-        if space.n - rows.count(0) != len(inside) - inside.count(0):
-            return False  # a nonzero row off the minimal open
-    return True
+    def _compute(self, mask: int) -> tuple[int, ...]:
+        return _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
 
 
 def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circulation:
@@ -296,7 +281,7 @@ def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circula
     return circ
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Stream:
     """A finite space together with a circulation on it."""
 
@@ -319,14 +304,6 @@ class Stream:
     def gen_of(self, x: str) -> Preorder:
         return self.circ.gen_of(x)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Stream):
-            return NotImplemented
-        return self.space == other.space and self.circ == other.circ
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.circ))
-
     def __repr__(self) -> str:
         return f"Stream({self.space!r}, {self.circ!r})"
 
@@ -338,15 +315,11 @@ def circulation_from_generators(
     of the generator graphs over U's points. The stored family is the
     saturation of the input: each gen(x) is recomputed as the join, inside
     min_open(x), of the generators of min_open(x)'s points."""
-    embedded = []
     for x in space.points:
         if x not in gens:
             raise MissingPoint(f"no generator for {x!r}")
-        p = gens[x]
-        if frozenset(p.carrier) != space.min_open(x):
-            raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
-        embedded.append(_embed_rows(p, space))
-    return _saturate(space, embedded)
+    given = Circulation(space, tuple(gens[x] for x in space.points))
+    return _saturate(space, given._gen_rows)
 
 
 def stream_from_generators(space: FiniteSpace, gens: Mapping[str, Preorder]) -> Stream:
@@ -433,13 +406,12 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     the equivalence is itself property-tested).
 
     A circulation's own values (:meth:`Circulation.as_precirculation`) pass
-    without a scan when there is one generator per point and each has its
-    rows and bits inside its point's minimal open. This is exact: the value
+    without a scan. This is exact because a ``Circulation`` is built with
+    one generator per point, on exactly its point's minimal open: the value
     on W is by definition the closure on W of the generators over W; each
     minimal-open value over W contains its point's generator and lies inside
     the value on W, so the join of the minimal-open values is that value on
-    every open. Any other precirculation, or a circulation view whose
-    generator leaves its minimal open, takes the scan over every open.
+    every open. Any other precirculation takes the scan over every open.
 
     exhaustive: literally quantify over collections of nonempty opens, in a
     deterministic order (collections by size, then lexicographically by their
@@ -450,7 +422,7 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     """
     space = pc.space
     if mode == "fast":
-        if _generated_on_min_opens(pc):
+        if isinstance(pc, CirculationView):
             return CirculationCheck(True)
         minop_rows = [pc.rows_on(row) for row in space.min_open_rows]
         for wmask in all_opens(space):
@@ -487,11 +459,12 @@ def check_monotone(pc: Precirculation) -> tuple[bool, tuple[str, str, str] | Non
     """Graphs grow with the open set; witness is (open, x, y) naming the
     larger open whose value misses a pair from a smaller one.
 
-    A circulation view whose generators lie on their minimal opens passes
-    without a scan, as in :func:`is_circulation`: the value on an open is the
-    closure there of the generators over it, and a larger open has more
-    generators. Anything else is scanned pair by pair over the open lattice."""
-    if _generated_on_min_opens(pc):
+    A circulation's own values pass without a scan, as in
+    :func:`is_circulation`: the value on an open is the closure there of the
+    generators over it, each inside the open by construction, and a larger
+    open has more generators. Anything else is scanned pair by pair over the
+    open lattice."""
+    if isinstance(pc, CirculationView):
         return True, None
     opens = all_opens(pc.space)
     for small in opens:
@@ -615,11 +588,8 @@ def pullback(
     if isinstance(source, Stream):
         source = source.circ
     if isinstance(source, Circulation):
-        target_space = source.space
-        value_rows = source.value_rows
-    else:
-        target_space = source.space
-        value_rows = source.rows_on
+        source = source.as_precirculation()
+    target_space = source.space
     require_continuous(f, src_space, target_space)
     fidx = {src_space.index(p): target_space.index(f[p]) for p in src_space.points}
 
@@ -627,7 +597,7 @@ def pullback(
         vmask = 0
         for i in iter_bits(umask):
             vmask |= target_space.min_open_rows[fidx[i]]
-        vrows = value_rows(vmask)
+        vrows = source.rows_on(vmask)
         rows = [0] * src_space.n
         for a in iter_bits(umask):
             for b in iter_bits(umask):

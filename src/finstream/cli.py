@@ -213,6 +213,8 @@ def _parse_json_arg(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad {what}: {exc.msg}")
+    except RecursionError:
+        raise FormatError(f"bad {what}: nested too deeply")
 
 
 def _load_diagram(path: str) -> StreamDiagram:
@@ -404,10 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StreamError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (StreamError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

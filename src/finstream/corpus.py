@@ -103,7 +103,3 @@ def random_partition(rng: random.Random, points: Sequence[str]) -> list[list[str
         else:
             classes.append([p])
     return classes
-
-
-def random_open(rng: random.Random, space: FiniteSpace) -> frozenset[str]:
-    return space.set_of(rng.choice(list(all_opens(space))))

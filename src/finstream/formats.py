@@ -171,6 +171,10 @@ def _read_object(path: str) -> dict:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc.reason}")
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: top level must be an object")
     return obj

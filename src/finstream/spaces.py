@@ -25,7 +25,7 @@ from .errors import (
 from .relations import Preorder, iter_bits, tuple_point
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteSpace:
     points: tuple[str, ...]
     min_open_rows: tuple[int, ...]
@@ -61,14 +61,6 @@ class FiniteSpace:
 
     def min_open_table(self) -> dict[str, frozenset[str]]:
         return {p: self.min_open(p) for p in self.points}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteSpace):
-            return NotImplemented
-        return self.points == other.points and self.min_open_rows == other.min_open_rows
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.min_open_rows))
 
     def __repr__(self) -> str:
         table = {p: sorted(self.min_open(p)) for p in self.points}
@@ -236,20 +228,6 @@ def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:
                 mask |= 1 << index[tuple_point(a, b)]
         rows.append(mask)
     return FiniteSpace(pts, tuple(rows))
-
-
-def product_projections(
-    left: FiniteSpace, right: FiniteSpace
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Point maps of the two projections out of product_space(left, right)."""
-    first = {}
-    second = {}
-    for x in left.points:
-        for y in right.points:
-            name = tuple_point(x, y)
-            first[name] = x
-            second[name] = y
-    return first, second
 
 
 def coproduct_space(

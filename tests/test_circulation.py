@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -35,10 +37,11 @@ from finstream import (
     trivial_stream,
     validate_alternating_witness,
 )
-from finstream.circulation import CirculationView, _generated_on_min_opens
+from finstream._kernels import closure_rows
 from finstream.corpus import random_precirculation, random_preorder, random_stream
 from finstream.errors import (
     CarrierMismatch,
+    MissingPoint,
     NeighborhoodConditionFailed,
     NotConvex,
     NotOpen,
@@ -68,13 +71,16 @@ def model_streams():
 
 
 def leaving_circulation():
-    """A hand-built circulation on the discrete space {x, y} whose generator
-    for x sits on {x, y} and relates y to x: a nonzero row off min_open(x).
-    The value on {x, y} relates y to x, the minimal-open values do not, so
-    gluing fails there."""
+    """A broken circulation on the discrete space {x, y}, built past the
+    constructor's check: its generator for x sits on {x, y} and relates y to
+    x, a nonzero row off min_open(x). The value on {x, y} relates y to x, the
+    minimal-open values do not, so gluing fails there."""
     space = space_from_min_opens("xy", {"x": "x", "y": "y"})
     gen_x = Preorder.build("xy", [("x", "x"), ("y", "y"), ("y", "x")])
-    return Circulation(space, (gen_x, Preorder.identity("y")))
+    circ = object.__new__(Circulation)
+    object.__setattr__(circ, "space", space)
+    object.__setattr__(circ, "gen", (gen_x, Preorder.identity("y")))
+    return circ
 
 
 class TestGenerators:
@@ -278,7 +284,6 @@ class TestGeneratorShortcut:
 
     def test_streams_match_scan(self, corpus_streams):
         for s in corpus_streams + model_streams():
-            assert _generated_on_min_opens(s.circ.as_precirculation())
             self.assert_matches_scan(s.circ, monotone=s.space.n <= 9)
 
     def test_unsaturated_families_match_scan(self, rng, small_spaces):
@@ -289,21 +294,31 @@ class TestGeneratorShortcut:
             self.assert_matches_scan(circ)
 
     def test_generator_off_its_min_open_is_scanned(self):
+        # The broken circulation's values through a plain precirculation:
+        # the scan finds the failure the constructor would have rejected.
         circ = leaving_circulation()
-        view = circ.as_precirculation()
-        assert isinstance(view, CirculationView) and not _generated_on_min_opens(view)
-        result = is_circulation(view, "fast")
+        result = is_circulation(Precirculation(circ.space, circ.value_rows), "fast")
         assert not result.ok
         assert result.witness.collection == (("x",), ("y",))
         assert (result.witness.x, result.witness.y) == ("y", "x")
-        self.assert_matches_scan(circ)
 
-    def test_carrier_off_its_min_open_is_scanned(self):
+    def test_off_open_or_missing_generators_rejected(self):
         space = space_from_min_opens("xy", {"x": "x", "y": "y"})
-        circ = Circulation(space, (Preorder.identity("xy"), Preorder.identity("y")))
-        assert not _generated_on_min_opens(circ.as_precirculation())
-        assert is_circulation(circ.as_precirculation(), "fast").ok
-        self.assert_matches_scan(circ)
+        leaving = leaving_circulation()
+        for gen in (
+            leaving.gen,
+            (Preorder.identity("xy"), Preorder.identity("y")),
+            (Preorder.identity("x"), Preorder.identity("x")),
+            (Preorder.identity("x"), Preorder.identity("y"), Preorder.identity("y")),
+        ):
+            with pytest.raises(CarrierMismatch):
+                Circulation(space, gen)
+        with pytest.raises(CarrierMismatch, match="'y'"):
+            Circulation(space, (Preorder.identity("x"),))
+        # circulation_from_generators reports a missing point before a
+        # generator off its minimal open
+        with pytest.raises(MissingPoint):
+            circulation_from_generators(space, {"x": Preorder.identity("xy")})
 
     def test_stream_checks_enumerate_no_opens(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -314,7 +329,50 @@ class TestGeneratorShortcut:
         assert is_circulation(pc, "fast").ok
         assert check_monotone(pc) == (True, None)
         with pytest.raises(AssertionError, match="enumerated"):
-            is_circulation(leaving_circulation().as_precirculation(), "fast")
+            is_circulation(Precirculation(pc.space, pc.rows_on), "fast")
+
+
+class TestValueMemo:
+    """A circulation memoizes its values once, in its view, and dropping it
+    frees both without the cycle collector."""
+
+    def test_view_is_the_one_value_memo(self, monkeypatch):
+        closures = []
+
+        def counting(rows, n):
+            closures.append(n)
+            return closure_rows(rows, n)
+
+        s = directed_interval(3)
+        expected = s.underlying()
+        circ = Circulation(s.space, s.circ.gen)
+        monkeypatch.setattr("finstream.circulation.closure_rows", counting)
+        view = circ.as_precirculation()
+        assert view is circ.as_precirculation()
+        full = (1 << s.space.n) - 1
+        rows = view.rows_on(full)
+        assert len(closures) == 1
+        assert circ.value_rows(full) is rows
+        assert circ.underlying() == expected
+        assert len(closures) == 1
+        star = s.space.min_open_rows[s.space.index("v1")]
+        circ.value_mask(star)
+        assert len(closures) == 2
+        assert view.rows_on(star) is circ.value_rows(star)
+        assert len(closures) == 2
+
+    def test_dropped_circulation_freed_without_cycle_collector(self):
+        s = directed_interval(3)
+        circ = Circulation(s.space, s.circ.gen)
+        view = circ.as_precirculation()
+        circ.underlying()
+        refs = [weakref.ref(circ), weakref.ref(view)]
+        gc.disable()
+        try:
+            del circ, view
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestMonotonicityAndHalfCosheaf:

@@ -320,8 +320,8 @@ def malformed_cases():
     name or argument (a float or a boolean is not an integer), truncated
     diagram JSON, a diagram arrow missing a field, a diagram or atlas of the
     wrong shape, a short generator pair, a precirculation whose ``exact`` is
-    not a boolean, and point names, point lists and point maps nested one
-    level too deep."""
+    not a boolean, point names, point lists and point maps nested one level
+    too deep, and JSON nested deeper than the parser's recursion limit."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
@@ -375,11 +375,13 @@ def malformed_cases():
         )
     precirculation["assign"][0]["open"] = [["e1"]]
     cases.append(pytest.param(["check", "--input"], json.dumps(precirculation), id="open-nested"))
+    cases.append(pytest.param(["check", "--input"], "[" * 10_000, id="too-deep"))
     interval = json.dumps(serialize_stream(directed_interval(1)))
     arguments = {
         "partition-number": ["quotient", "--partition", "[5]"],
         "partition-nested": ["quotient", "--partition", '[[["v0"]], ["v1"], ["e1"]]'],
         "substream-points-nested": ["substream", "--points", '[["v0"]]'],
+        "partition-too-deep": ["quotient", "--partition", "[" * 10_000],
     }
     for key, argv in arguments.items():
         cases.append(pytest.param(["combine", *argv, "--input"], interval, id=key))
@@ -396,6 +398,23 @@ def test_malformed_input_exits_2(tmp_path, capsys, prefix, content):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")
     code, out, err = run(capsys, *prefix, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "output-directory"])
+def test_unreadable_path_exits_2(tmp_path, capsys, case):
+    spec = tmp_path / "spec.json"
+    write(spec, {"builder": "directed_interval", "args": {"n": 1}})
+    argv = ["build", "--input", str(spec)]
+    if case == "input-directory":
+        argv[2] = str(tmp_path)
+    elif case == "input-not-utf8":
+        spec.write_bytes(b'{"builder": "directed_\xe9interval"}')
+    else:
+        argv += ["--output", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
