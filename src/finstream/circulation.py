@@ -58,12 +58,13 @@ from .spaces import (
 
 def _embed_rows(p: Preorder, space: FiniteSpace) -> tuple[int, ...]:
     """Graph of p as full-space bitmask rows (zero rows off its carrier)."""
+    positions = [space.index(x) for x in p.carrier]
     rows = [0] * space.n
-    for i, x in enumerate(p.carrier):
+    for i, prow in zip(positions, p.rows):
         row = 0
-        for j in iter_bits(p.rows[i]):
-            row |= 1 << space.index(p.carrier[j])
-        rows[space.index(x)] = row
+        for j in iter_bits(prow):
+            row |= 1 << positions[j]
+        rows[i] = row
     return tuple(rows)
 
 
@@ -78,23 +79,30 @@ def _extract_preorder(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -
 
 
 def _close_on_mask(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -> tuple[int, ...]:
-    """Transitive-reflexive closure restricted to the mask, in full indexing."""
-    closed = list(closure_rows(full_rows, space.n))
-    for i in range(space.n):
-        if not mask >> i & 1:
-            closed[i] = 0
-    return tuple(closed)
+    """Transitive-reflexive closure restricted to the mask, in full indexing.
+    The rows must be zero off the mask (see :func:`_join_on`)."""
+    closed = closure_rows(full_rows, space.n)
+    out = [0] * space.n
+    for i in iter_bits(mask):
+        out[i] = closed[i]
+    return tuple(out)
 
 
 def _join_on(
     space: FiniteSpace, mask: int, members: Iterable[Sequence[int]]
 ) -> tuple[int, ...]:
     """Join on an open: the closure, restricted to the mask, of the union of
-    the members' full-space rows."""
+    the members' full-space rows.
+
+    Invariant: every member is zero off the mask, and its rows on the mask
+    have no bits outside it. Only the mask's rows of each member are read,
+    so a member costs the open's width, not the space's; a member that broke
+    the invariant would lose the paths that leave the open."""
+    positions = list(iter_bits(mask))
     rows = [0] * space.n
     for member in members:
-        for k, row in enumerate(member):
-            rows[k] |= row
+        for k in positions:
+            rows[k] |= member[k]
     return _close_on_mask(space, mask, rows)
 
 
@@ -715,14 +723,13 @@ def chain_witness(
     This is the gluing decomposition for the canonical minimal-open cover."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
-    value = s.value_mask(mask)
-    if x not in value or y not in value:
+    steps: dict[str, list[tuple[str, str]]] = {space.points[i]: [] for i in iter_bits(mask)}
+    if x not in steps or y not in steps:
         raise UnknownPoint(f"{x!r} or {y!r} outside the open set")
-    if not value.has(x, y):
+    if not s.circ.value_rows(mask)[space.index(x)] >> space.index(y) & 1:
         raise NotRelated(f"{x!r} is not below {y!r} on the open set")
     if x == y:
         return []
-    steps: dict[str, list[tuple[str, str]]] = {p: [] for p in value.carrier}
     for i in iter_bits(mask):
         z = space.points[i]
         g = s.gen_of(z)

@@ -30,7 +30,6 @@ from .circulation import (
     cosheafify,
     is_circulation,
     join_circulations,
-    preorder_on_open,
     pullback,
     pushforward,
 )
@@ -50,7 +49,7 @@ from .formats import (
     stream_to_dot,
 )
 from .relations import Preorder
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, require_open_mask
 
 
 def _int_arg(args: dict, key: str) -> int:
@@ -182,16 +181,17 @@ def cmd_check(args) -> int:
 
 def cmd_query(args) -> int:
     stream = _load_stream(args.input)
+    space = stream.space
     if args.open == "global":
-        members = sorted(stream.space.points)
+        members = sorted(space.points)
     else:
         members = [p for p in args.open.split(",") if p]
-    for point in (args.x, args.y):
-        stream.space.index(point)  # UnknownPoint on junk names
-    value = preorder_on_open(stream, members)
-    related = args.x in value and args.y in value and value.has(args.x, args.y)
+    ix, iy = space.index(args.x), space.index(args.y)  # UnknownPoint on junk names
+    mask = require_open_mask(space, space.mask_of(members))
+    rows = stream.circ.value_rows(mask)
+    related = bool(mask >> ix & 1 and mask >> iy & 1 and rows[ix] >> iy & 1)
     report: dict = {
-        "open": sorted(members),
+        "open": sorted(set(members)),
         "x": args.x,
         "y": args.y,
         "related": related,
@@ -245,21 +245,36 @@ def _load_space(path: str) -> FiniteSpace:
     raise FormatError(f"{path}: expected a space or stream file")
 
 
-def _need_inputs(args, count: int) -> None:
-    if len(args.input) < count:
-        raise FormatError(f"{args.operation} needs at least {count} --input file(s)")
+# --input files each combine operation reads; join reads one or more.
+INPUT_COUNTS = {
+    "product": 2,
+    "quotient": 1,
+    "substream": 1,
+    "pushforward": 1,
+    "pullback-cosheafify": 1,
+    "limit": 0,
+    "colimit": 0,
+}
+
+
+def _check_input_count(op: str, count: int) -> None:
+    """Extra or missing --input files are an error, never silently ignored."""
+    if op == "join":
+        if count < 1:
+            raise FormatError("join needs at least 1 --input file")
+    elif op in INPUT_COUNTS and count != INPUT_COUNTS[op]:
+        raise FormatError(f"{op} takes {INPUT_COUNTS[op]} --input file(s), got {count}")
 
 
 def cmd_combine(args) -> int:
     op = args.operation
+    _check_input_count(op, len(args.input))
     spot: list[str] = []
     if op == "product":
-        _need_inputs(args, 2)
-        left, right = (_load_stream(p) for p in args.input[:2])
+        left, right = (_load_stream(p) for p in args.input)
         stream, _, _ = product_stream(left, right)
         spot = ["projections are stream maps"]
     elif op == "quotient":
-        _need_inputs(args, 1)
         stream_in = _load_stream(args.input[0])
         if args.partition is None:
             raise FormatError("quotient needs --partition")
@@ -271,7 +286,6 @@ def cmd_combine(args) -> int:
         stream, projection = quotient_stream(stream_in, partition)
         spot = ["projection is a stream map"]
     elif op == "substream":
-        _need_inputs(args, 1)
         stream_in = _load_stream(args.input[0])
         if args.points is None:
             raise FormatError("substream needs --points")
@@ -279,13 +293,11 @@ def cmd_combine(args) -> int:
         stream, inclusion = substream(stream_in, points)
         spot = ["inclusion is a stream map"]
     elif op == "join":
-        _need_inputs(args, 1)
         streams = [_load_stream(p) for p in args.input]
         circ = join_circulations([s.circ for s in streams])
         stream = Stream(streams[0].space, circ)
         spot = ["result satisfies the gluing condition"]
     elif op == "pushforward":
-        _need_inputs(args, 1)
         if args.space is None or args.map is None:
             raise FormatError("pushforward needs --space and --map")
         stream_in = _load_stream(args.input[0])
@@ -296,7 +308,6 @@ def cmd_combine(args) -> int:
         StreamMap(stream_in, stream, mapping)
         spot = ["map is a stream map into the result"]
     elif op == "pullback-cosheafify":
-        _need_inputs(args, 1)
         if args.space is None or args.map is None:
             raise FormatError("pullback-cosheafify needs --space and --map")
         stream_in = _load_stream(args.input[0])

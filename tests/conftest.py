@@ -21,6 +21,7 @@ from finstream import (
     directed_interval,
     directed_square,
     boundary_square,
+    empty_stream,
     initial_structure,
     is_connected,
     point_stream,
@@ -30,7 +31,12 @@ from finstream import (
     trivial_stream,
     tuple_point,
 )
+from finstream._kernels import closure_rows
 from finstream.corpus import all_spaces, random_stream, spaces_upto
+from finstream.errors import NotRelated, UnknownPoint
+from finstream.formats import canonical_dumps
+from finstream.relations import iter_bits
+from finstream.spaces import require_open_mask
 
 
 def closure_oracle(carrier, pairs):
@@ -138,6 +144,88 @@ def limit_oracle(diagram):
     ]
     stream, stream_legs = initial_structure(base, legs)
     return stream, dict(zip(keys, stream_legs))
+
+
+def model_streams():
+    """Canonical models a little larger than the corpus."""
+    return [
+        directed_interval(3),
+        directed_interval(5),
+        directed_circle(4),
+        directed_square(1, 1),
+        directed_square(2, 1),
+        boundary_square(1),
+        boundary_square(2),
+        empty_stream(),
+    ]
+
+
+def full_carrier_join(space, mask, members):
+    """_join_on without its mask shortcut: OR every row of every member,
+    close over the whole carrier, then zero the rows off the mask."""
+    rows = [0] * space.n
+    for member in members:
+        for k, row in enumerate(member):
+            rows[k] |= row
+    closed = closure_rows(rows, space.n)
+    return tuple(closed[i] if mask >> i & 1 else 0 for i in range(space.n))
+
+
+def chain_witness_oracle(s, open_set, x, y):
+    """chain_witness deciding on the open's Preorder value: the same errors,
+    then a breadth-first search over the generators' pairs."""
+    mask = require_open_mask(s.space, s.space.mask_of(open_set))
+    value = s.value_mask(mask)
+    if x not in value or y not in value:
+        raise UnknownPoint(f"{x!r} or {y!r} outside the open set")
+    if not value.has(x, y):
+        raise NotRelated(f"{x!r} is not below {y!r} on the open set")
+    if x == y:
+        return []
+    steps = {p: [] for p in value.carrier}
+    for z in (s.space.points[i] for i in iter_bits(mask)):
+        for a, b in s.gen_of(z).pairs():
+            if a != b:
+                steps[a].append((z, b))
+    parents = {x: None}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for z, b in steps[a]:
+                if b in parents:
+                    continue
+                parents[b] = (a, z)
+                if b == y:
+                    out = []
+                    while parents[b] is not None:
+                        prev, via = parents[b]
+                        out.append((prev, via, b))
+                        b = prev
+                    return out[::-1]
+                nxt.append(b)
+        frontier = nxt
+    raise AssertionError("related pair admits no generator chain")
+
+
+def query_oracle(s, open_arg, x, y, witness):
+    """The CLI query's report text and exit code, decided on the open's
+    Preorder value; raises the library's error where the CLI exits 2."""
+    if open_arg == "global":
+        members = sorted(s.space.points)
+    else:
+        members = [p for p in open_arg.split(",") if p]
+    s.space.index(x)
+    s.space.index(y)
+    value = s.value(members)
+    related = x in value and y in value and value.has(x, y)
+    report = {"open": sorted(set(members)), "x": x, "y": y, "related": related}
+    if related and witness:
+        steps = chain_witness_oracle(s, members, x, y)
+        report["witness"] = [{"from": a, "via_star_of": z, "to": b} for a, z, b in steps[:100]]
+        if len(steps) > 100:
+            report["witness_truncated"] = True
+    return canonical_dumps(report), 0 if related else 1
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,14 @@ import pytest
 
 from finstream import (
     Circulation,
+    DiagramArrow,
     FuncPrecirculation,
     Precirculation,
     Preorder,
     Stream,
+    StreamDiagram,
     all_opens,
     alternating_witness,
-    boundary_square,
     chain_witness,
     chaotic_precirculation,
     check_antisymmetric_convexity,
@@ -22,23 +23,37 @@ from finstream import (
     check_monotone,
     check_pseudo_circulation,
     circulation_from_generators,
+    colimit,
+    cosheafify,
     directed_circle,
     directed_interval,
     directed_square,
-    empty_stream,
     half_cosheaf_holds,
     is_circulation,
     is_convex,
     join_circulations,
+    limit,
+    point_stream,
     preorder_on_open,
+    product_stream,
+    pullback,
+    pushforward,
+    quotient_stream,
     specialization_circulation,
     specialization_preorder,
     trivial_circulation,
     trivial_stream,
     validate_alternating_witness,
 )
+from finstream import circulation
 from finstream._kernels import closure_rows
-from finstream.corpus import random_precirculation, random_preorder, random_stream
+from finstream.corpus import (
+    random_continuous_map,
+    random_precirculation,
+    random_preorder,
+    random_stream,
+    spaces_upto,
+)
 from finstream.errors import (
     CarrierMismatch,
     MissingPoint,
@@ -46,28 +61,24 @@ from finstream.errors import (
     NotConvex,
     NotOpen,
     NotRelated,
+    UnknownPoint,
 )
 from finstream.models import pathology_fixture
+from finstream.relations import iter_bits
 from finstream.spaces import space_from_min_opens
 
-from conftest import closure_oracle, connected_intervals_oracle, open_sets
+from conftest import (
+    chain_witness_oracle,
+    closure_oracle,
+    connected_intervals_oracle,
+    full_carrier_join,
+    model_streams,
+    open_sets,
+)
 
 
 def sierpinski_space():
     return space_from_min_opens("ab", {"a": "ab", "b": "b"})
-
-
-def model_streams():
-    return [
-        directed_interval(3),
-        directed_interval(5),
-        directed_circle(4),
-        directed_square(1, 1),
-        directed_square(2, 1),
-        boundary_square(1),
-        boundary_square(2),
-        empty_stream(),
-    ]
 
 
 def leaving_circulation():
@@ -332,6 +343,119 @@ class TestGeneratorShortcut:
             is_circulation(Precirculation(pc.space, pc.rows_on), "fast")
 
 
+def random_member(rng, space, mask):
+    """Random full-space rows that are zero off the mask, with no bits
+    outside it: the members _join_on accepts."""
+    rows = [0] * space.n
+    for i in iter_bits(mask):
+        rows[i] = rng.getrandbits(space.n) & mask
+    return tuple(rows)
+
+
+class TestMaskedJoin:
+    """_join_on reads each member only at the mask's rows. The oracle is the
+    full-carrier join, which ORs and closes all n rows."""
+
+    def test_matches_full_carrier_join(self, rng):
+        cases = [(space, list(all_opens(space))) for space in spaces_upto(4)]
+        square = directed_square(2, 1).space
+        cases.append((square, list(all_opens(square))))
+        # directed_square(3, 3) has 49 points and too many opens to list; its
+        # minimal opens and random unions of them stand in for the lattice
+        big = directed_square(3, 3).space
+        minimal = list(big.min_open_rows)
+        unions = []
+        for _ in range(150):
+            mask = 0
+            for row in rng.sample(minimal, rng.randint(1, 6)):
+                mask |= row
+            unions.append(mask)
+        cases.append((big, minimal + unions + [(1 << big.n) - 1]))
+        checked = 0
+        for space, masks in cases:
+            for mask in masks:
+                members = [random_member(rng, space, mask) for _ in range(rng.randint(1, 3))]
+                got = circulation._join_on(space, mask, members)
+                assert got == full_carrier_join(space, mask, members)
+                checked += 1
+        assert checked > 3000
+
+    def test_every_call_site_meets_the_invariant(self, monkeypatch, rng, tiny_spaces):
+        real = circulation._join_on
+        calls = []
+
+        def checked(space, mask, members):
+            members = [tuple(m) for m in members]
+            for member in members:
+                for i, row in enumerate(member):
+                    assert not row & ~mask if mask >> i & 1 else row == 0, (mask, i)
+            calls.append(mask)
+            return real(space, mask, members)
+
+        monkeypatch.setattr(circulation, "_join_on", checked)
+        streams = model_streams() + [point_stream()]
+        for space in tiny_spaces:
+            s = random_stream(rng, space)
+            streams.append(s)
+            for mode in ("fast", "exhaustive"):
+                is_circulation(random_precirculation(rng, space), mode)
+                is_circulation(Precirculation(space, s.circ.value_rows), mode)
+            for src in tiny_spaces[:8]:
+                f = random_continuous_map(rng, src, space)
+                if f is not None:
+                    cosheafify(pullback(s, f, src))
+        for s in model_streams()[:4]:
+            is_circulation(Precirculation(s.space, s.circ.value_rows), "fast")
+        fx = pathology_fixture()
+        is_circulation(fx.pulled, "fast")
+        cosheafify(fx.pulled)
+        interval, circle = directed_interval(2), directed_circle(2)
+        product_stream(directed_interval(1), circle)
+        glue = {"v0": "v0", "v2": "v0", "v1": "v1", "e1": "e1", "e2": "e2"}
+        pushforward(interval, glue, circle.space)
+        quotient_stream(interval, [["v0", "v2"], ["v1"], ["e1"], ["e2"]])
+        join_circulations([circle.circ, trivial_circulation(circle.space)])
+        identity = {p: p for p in circle.space.points}
+        diagram = StreamDiagram(
+            {"A": circle, "B": circle}, {"f": DiagramArrow("A", "B", identity)}
+        )
+        limit(diagram)
+        colimit(diagram)
+        i1 = directed_interval(1)
+        pushout = StreamDiagram(
+            {"P": point_stream(), "I": i1, "J": i1},
+            {
+                "a": DiagramArrow("P", "I", {"pt": "v1"}),
+                "b": DiagramArrow("P", "J", {"pt": "v0"}),
+            },
+        )
+        limit(pushout)
+        colimit(pushout)
+        for s in streams:
+            s.underlying()
+        assert len(calls) > 1000
+
+    def test_reads_only_the_masks_rows(self):
+        reads = []
+
+        class CountingRows(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return tuple.__getitem__(self, k)
+
+        s = directed_square(16, 16)
+        space = s.space
+        gen_rows = s.circ._gen_rows
+        middle = space.index(space.points[space.n // 2])
+        for mask in (space.min_open_rows[0], space.min_open_rows[middle], (1 << space.n) - 1):
+            members = [CountingRows(gen_rows[i]) for i in iter_bits(mask)]
+            reads.clear()
+            circulation._join_on(space, mask, members)
+            width = bin(mask).count("1")
+            assert len(reads) == width * len(members)
+            assert set(reads) == set(iter_bits(mask))
+
+
 class TestValueMemo:
     """A circulation memoizes its values once, in its view, and dropping it
     frees both without the cycle collector."""
@@ -448,6 +572,43 @@ class TestAlternatingWitness:
                         assert s.gen_of(z).has(a, b)
                         here = b
                     assert here == y
+
+
+class TestChainWitness:
+    """chain_witness decides on the open's value rows; the oracle decides on
+    its Preorder value, as the function did before."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (UnknownPoint, NotRelated) as exc:
+            return type(exc), str(exc)
+
+    def test_matches_preorder_oracle(self):
+        for s in model_streams():
+            space = s.space
+            opens = [space.points] + [space.min_open(x) for x in space.points]
+            for open_set in opens:
+                for x in space.points:
+                    for y in space.points:
+                        expected = self.outcome(chain_witness_oracle, s, open_set, x, y)
+                        assert self.outcome(chain_witness, s, open_set, x, y) == expected
+
+    @pytest.mark.parametrize(
+        "open_set, x, y, error, message",
+        [
+            (["e1"], "v0", "e1", UnknownPoint, "'v0' or 'e1' outside the open set"),
+            (["e1"], "e1", "zz", UnknownPoint, "'e1' or 'zz' outside the open set"),
+            (["v0", "e1", "v1"], "v1", "v0", NotRelated, "'v1' is not below 'v0' on the open set"),
+        ],
+    )
+    def test_errors_unchanged(self, open_set, x, y, error, message):
+        s = directed_interval(1)
+        for fn in (chain_witness, chain_witness_oracle):
+            with pytest.raises(error) as caught:
+                fn(s, open_set, x, y)
+            assert str(caught.value) == message
 
 
 class TestConnectedIntervals:

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from finstream import directed_circle, directed_interval, tuple_point
 from finstream.cli import main
+from finstream.errors import StreamError
 from finstream.formats import (
     canonical_dumps,
     load,
@@ -12,6 +14,9 @@ from finstream.formats import (
     serialize_stream,
 )
 from finstream.models import pathology_fixture
+from finstream.spaces import all_opens
+
+from conftest import model_streams, query_oracle
 
 
 def write(path, obj):
@@ -190,6 +195,42 @@ class TestQuery:
         assert code == 0
         steps = json.loads(out)["witness"]
         assert steps[0]["from"] == "v0" and steps[-1]["to"] == "v2"
+
+    def test_duplicate_members_reported_once(self, tmp_path, capsys):
+        path = tmp_path / "interval.json"
+        write(path, serialize_stream(directed_interval(1)))
+        code, out, _ = run(capsys, "query", "--input", str(path), "--open", "v0,v0,e1", "v0", "e1")
+        assert code == 0
+        assert json.loads(out)["open"] == ["e1", "v0"]
+
+    def test_reports_match_preorder_oracle(self, tmp_path, capsys):
+        """Every model stream, the global open and a sample of opens (with a
+        duplicate member and a set that is not open), with and without a
+        witness: same report bytes and exit code as deciding on the open's
+        Preorder value; the same error line where that raises."""
+        rng = random.Random(7)
+        for k, s in enumerate(model_streams()):
+            path = tmp_path / f"s{k}.json"
+            write(path, serialize_stream(s))
+            points = list(s.space.points)
+            opens = [s.space.set_of(m) for m in all_opens(s.space)]
+            wheres = ["global"] + [",".join(sorted(o)) for o in rng.sample(opens, min(5, len(opens)))]
+            if points:
+                wheres.append(",".join(points[:1] * 2 + points[-1:]))
+                wheres.append(points[0])
+            pairs = [(x, y) for x in points for y in points]
+            pairs = rng.sample(pairs, min(8, len(pairs))) + [("zz", "zz")]
+            for where in wheres:
+                for x, y in pairs:
+                    for witness in ((), ("--witness",)):
+                        try:
+                            expected = query_oracle(s, where, x, y, bool(witness))
+                        except StreamError as exc:
+                            expected = (f"error: {exc}\n", 2)
+                        code, out, err = run(
+                            capsys, "query", "--input", str(path), "--open", where, *witness, x, y
+                        )
+                        assert (out or err, code) == expected, (k, where, x, y, witness)
 
 
 class TestCombine:
@@ -401,6 +442,50 @@ def test_malformed_input_exits_2(tmp_path, capsys, prefix, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def wrong_input_counts():
+    """Combine operations given more or fewer --input files than they read."""
+    extra = {
+        "quotient": ["--partition", "[]"],
+        "substream": ["--points", "[]"],
+        "pushforward": ["--space", "S", "--map", "{}"],
+        "pullback-cosheafify": ["--space", "S", "--map", "{}"],
+        "limit": ["--diagram", "D"],
+        "colimit": ["--diagram", "D"],
+    }
+    counts = {
+        "product": (0, 1, 3),
+        "quotient": (0, 2),
+        "substream": (0, 2),
+        "pushforward": (0, 2),
+        "pullback-cosheafify": (0, 3),
+        "limit": (1, 2),
+        "colimit": (1,),
+        "join": (0,),
+    }
+    return [
+        pytest.param(op, count, extra.get(op, []), id=f"{op}-{count}")
+        for op, wrong in counts.items()
+        for count in wrong
+    ]
+
+
+@pytest.mark.parametrize("op, count, extra", wrong_input_counts())
+def test_wrong_input_count_exits_2(tmp_path, capsys, op, count, extra):
+    stream = tmp_path / "i1.json"
+    write(stream, serialize_stream(directed_interval(1)))
+    diagram = tmp_path / "diagram.json"
+    write(diagram, {"objects": {"a": serialize_stream(directed_interval(1))}, "arrows": {}})
+    paths = {"S": str(stream), "D": str(diagram)}
+    argv = ["combine", op, *[paths.get(a, a) for a in extra]]
+    for _ in range(count):
+        argv += ["--input", str(stream)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--input" in err
 
 
 @pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "output-directory"])
