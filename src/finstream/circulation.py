@@ -197,18 +197,18 @@ def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
 
 
 @dataclass(frozen=True)
-class Circulation:
+class Circulation(Precirculation):
     """A circulation stored by its minimal-open values, one per point,
     saturated so that gen(x) is the join of the gens inside min_open(x).
 
-    Construction enforces one generator per point, on exactly that point's
-    minimal open (``CarrierMismatch`` otherwise), so the gluing and
-    monotonicity checks accept a circulation's own values without a scan.
+    A circulation is its own precirculation: it computes each value by
+    joining the generator rows over the open and holds the one memo of
+    those values. Construction enforces one generator per point, on exactly
+    that point's minimal open (``CarrierMismatch`` otherwise), so the gluing
+    and monotonicity checks accept a circulation without a scan.
 
     ``gen`` holds the generators as Preorders for callers, ``_gen_rows`` the
-    same generators as full-space rows. Values are memoized once, in the
-    lazily made view ``as_precirculation`` returns; ``value_rows`` and
-    ``value_mask`` read through it."""
+    same generators as full-space rows."""
 
     space: FiniteSpace
     gen: tuple[Preorder, ...]
@@ -222,20 +222,21 @@ class Circulation:
         for x, mo, p in zip(space.points, space.min_open_rows, gen):
             if frozenset(p.carrier) != space.set_of(mo):
                 raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_lock", threading.Lock())
 
     @cached_property
     def _gen_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_embed_rows(p, self.space) for p in self.gen)
 
-    @cached_property
-    def _view(self) -> CirculationView:
-        return CirculationView(self)
+    def _compute(self, mask: int) -> tuple[int, ...]:
+        return _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
 
     def gen_of(self, x: str) -> Preorder:
         return self.gen[self.space.index(x)]
 
     def value_rows(self, mask: int) -> tuple[int, ...]:
-        return self._view.rows_on(mask)
+        return self.rows_on(mask)
 
     def value_mask(self, mask: int) -> Preorder:
         return _extract_preorder(self.space, mask, self.value_rows(mask))
@@ -246,30 +247,12 @@ class Circulation:
     def underlying(self) -> Preorder:
         return self.value_mask((1 << self.space.n) - 1)
 
-    def as_precirculation(self) -> CirculationView:
-        return self._view
+    def as_precirculation(self) -> Circulation:
+        return self
 
     def __repr__(self) -> str:
         table = {x: sorted(self.gen_of(x).pairs()) for x in self.space.points}
         return f"Circulation({table!r})"
-
-
-class CirculationView(Precirculation):
-    """A circulation's own values as a precirculation, and the circulation's
-    one value memo: it joins the generator rows over each open it is asked
-    for. It holds those rows, not the circulation, so dropping a circulation
-    frees it and its memo without waiting for the cyclic collector.
-
-    Only :meth:`Circulation.as_precirculation` should make one; its values
-    are then a circulation's, which the gluing and monotonicity checks
-    accept without a scan."""
-
-    def __init__(self, circ: Circulation):
-        super().__init__(circ.space)
-        self._gen_rows = circ._gen_rows
-
-    def _compute(self, mask: int) -> tuple[int, ...]:
-        return _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
 
 
 def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circulation:
@@ -413,13 +396,13 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     cover refines every cover, so this is equivalent to the full condition;
     the equivalence is itself property-tested).
 
-    A circulation's own values (:meth:`Circulation.as_precirculation`) pass
-    without a scan. This is exact because a ``Circulation`` is built with
-    one generator per point, on exactly its point's minimal open: the value
-    on W is by definition the closure on W of the generators over W; each
-    minimal-open value over W contains its point's generator and lies inside
-    the value on W, so the join of the minimal-open values is that value on
-    every open. Any other precirculation takes the scan over every open.
+    A ``Circulation`` passes without a scan. This is exact because it is
+    built with one generator per point, on exactly its point's minimal open:
+    the value on W is by definition the closure on W of the generators over
+    W; each minimal-open value over W contains its point's generator and
+    lies inside the value on W, so the join of the minimal-open values is
+    that value on every open. Any other precirculation takes the scan over
+    every open.
 
     exhaustive: literally quantify over collections of nonempty opens, in a
     deterministic order (collections by size, then lexicographically by their
@@ -430,7 +413,7 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     """
     space = pc.space
     if mode == "fast":
-        if isinstance(pc, CirculationView):
+        if isinstance(pc, Circulation):
             return CirculationCheck(True)
         minop_rows = [pc.rows_on(row) for row in space.min_open_rows]
         for wmask in all_opens(space):
@@ -467,12 +450,12 @@ def check_monotone(pc: Precirculation) -> tuple[bool, tuple[str, str, str] | Non
     """Graphs grow with the open set; witness is (open, x, y) naming the
     larger open whose value misses a pair from a smaller one.
 
-    A circulation's own values pass without a scan, as in
-    :func:`is_circulation`: the value on an open is the closure there of the
-    generators over it, each inside the open by construction, and a larger
-    open has more generators. Anything else is scanned pair by pair over the
-    open lattice."""
-    if isinstance(pc, CirculationView):
+    A ``Circulation`` passes without a scan, as in :func:`is_circulation`:
+    the value on an open is the closure there of the generators over it,
+    each inside the open by construction, and a larger open has more
+    generators. Anything else is scanned pair by pair over the open
+    lattice."""
+    if isinstance(pc, Circulation):
         return True, None
     opens = all_opens(pc.space)
     for small in opens:
@@ -584,7 +567,7 @@ def pushforward(s: Stream, f: Mapping[str, str], target: FiniteSpace) -> Circula
 
 
 def pullback(
-    source: Circulation | Stream | Precirculation,
+    source: Stream | Precirculation,
     f: Mapping[str, str],
     src_space: FiniteSpace,
 ) -> Precirculation:
@@ -595,8 +578,6 @@ def pullback(
     not a circulation."""
     if isinstance(source, Stream):
         source = source.circ
-    if isinstance(source, Circulation):
-        source = source.as_precirculation()
     target_space = source.space
     require_continuous(f, src_space, target_space)
     fidx = {src_space.index(p): target_space.index(f[p]) for p in src_space.points}
@@ -642,56 +623,72 @@ class AlternatingChain:
         return len(self.labels)
 
 
+def _related_indices(
+    space: FiniteSpace, mask: int, rows: Sequence[int], x: str, y: str, where: str
+) -> tuple[int, int]:
+    """The indices of x and y, both in the mask and related by the rows;
+    UnknownPoint or NotRelated otherwise."""
+    if x in space and y in space:
+        i, j = space.index(x), space.index(y)
+        if mask >> i & 1 and mask >> j & 1:
+            if rows[i] >> j & 1:
+                return i, j
+            raise NotRelated(f"{x!r} is not below {y!r} on {where}")
+    raise UnknownPoint(f"{x!r} or {y!r} outside {where}")
+
+
+def _shortest_chain(
+    x: int, y: int, steps: Sequence[tuple[str, Sequence[int]]]
+) -> list[tuple[int, str, int]]:
+    """Breadth-first search over point indices from x to y. Each step
+    (label, rows) leads from a to every bit of rows[a]. Returns the first
+    shortest chain found as (a, label, b) triples, empty when x == y;
+    points are expanded in frontier order, then steps in the given order,
+    then targets in point order."""
+    parents: dict[int, tuple[int, str]] = {}
+    seen = 1 << x
+    frontier = [x]
+    while not seen >> y & 1:
+        if not frontier:
+            raise AssertionError("related pair admits no chain")
+        nxt = []
+        for a in frontier:
+            for label, rows in steps:
+                fresh = rows[a] & ~seen
+                seen |= fresh
+                for b in iter_bits(fresh):
+                    parents[b] = (a, label)
+                    nxt.append(b)
+        frontier = nxt
+    out = []
+    while y != x:
+        a, label = parents[y]
+        out.append((a, label, y))
+        y = a
+    out.reverse()
+    return out
+
+
 def alternating_witness(
     s: Stream, u: Iterable[str], v: Iterable[str], x: str, y: str
 ) -> AlternatingChain:
     """A minimal-length alternating chain certifying x <= y on the union of
     two opens. Raises NotRelated when the union's preorder does not relate
-    the pair."""
+    the pair.
+
+    The chain is a shortest one over the steps of the two opens' values, U's
+    before V's, found in point order, so it is the same in every process.
+    Each value is transitive, so two consecutive steps in one open would
+    make a shorter chain: a shortest chain alternates."""
     space = s.space
     umask = require_open_mask(space, space.mask_of(u))
     vmask = require_open_mask(space, space.mask_of(v))
     both = umask | vmask
-    union_value = s.value_mask(both)
-    if x not in union_value or y not in union_value:
-        raise UnknownPoint(f"{x!r} or {y!r} outside the union")
-    if not union_value.has(x, y):
-        raise NotRelated(f"{x!r} is not below {y!r} on the union")
-    if x == y:
-        return AlternatingChain((x,), ())
-    pu = s.value_mask(umask)
-    pv = s.value_mask(vmask)
-    start = (x, "")
-    parents: dict[tuple[str, str], tuple[str, str] | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for point, last in frontier:
-            for label, value in (("U", pu), ("V", pv)):
-                if label == last or point not in value:
-                    continue
-                for q in value.image_set(point):
-                    if q == point:
-                        continue
-                    state = (q, label)
-                    if state in parents:
-                        continue
-                    parents[state] = (point, last)
-                    if q == y:
-                        chain_points = [q]
-                        chain_labels = [label]
-                        cur = (point, last)
-                        while parents[cur] is not None:
-                            chain_points.append(cur[0])
-                            chain_labels.append(cur[1])
-                            cur = parents[cur]
-                        chain_points.append(cur[0])
-                        chain_points.reverse()
-                        chain_labels.reverse()
-                        return AlternatingChain(tuple(chain_points), tuple(chain_labels))
-                    nxt.append(state)
-        frontier = nxt
-    raise AssertionError("related pair admits no alternating chain")
+    i, j = _related_indices(space, both, s.circ.value_rows(both), x, y, "the union")
+    steps = (("U", s.circ.value_rows(umask)), ("V", s.circ.value_rows(vmask)))
+    chain = _shortest_chain(i, j, steps)
+    points = (x,) + tuple(space.points[b] for _, _, b in chain)
+    return AlternatingChain(points, tuple(label for _, label, _ in chain))
 
 
 def validate_alternating_witness(
@@ -720,43 +717,16 @@ def chain_witness(
 ) -> list[tuple[str, str, str]]:
     """A minimal chain of generator steps certifying x <= y on an open set:
     each step (a, z, b) is related inside min_open(z) for some z in the set.
-    This is the gluing decomposition for the canonical minimal-open cover."""
+    This is the gluing decomposition for the canonical minimal-open cover.
+
+    The chain is a shortest one over the generators of the set's points,
+    found in point order, so it is the same in every process."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
-    steps: dict[str, list[tuple[str, str]]] = {space.points[i]: [] for i in iter_bits(mask)}
-    if x not in steps or y not in steps:
-        raise UnknownPoint(f"{x!r} or {y!r} outside the open set")
-    if not s.circ.value_rows(mask)[space.index(x)] >> space.index(y) & 1:
-        raise NotRelated(f"{x!r} is not below {y!r} on the open set")
-    if x == y:
-        return []
-    for i in iter_bits(mask):
-        z = space.points[i]
-        g = s.gen_of(z)
-        for a, b in g.pairs():
-            if a != b:
-                steps[a].append((z, b))
-    parents: dict[str, tuple[str, str] | None] = {x: None}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for z, b in steps[a]:
-                if b in parents:
-                    continue
-                parents[b] = (a, z)
-                if b == y:
-                    out = []
-                    cur = b
-                    while parents[cur] is not None:
-                        prev, via = parents[cur]
-                        out.append((prev, via, cur))
-                        cur = prev
-                    out.reverse()
-                    return out
-                nxt.append(b)
-        frontier = nxt
-    raise AssertionError("related pair admits no generator chain")
+    i, j = _related_indices(space, mask, s.circ.value_rows(mask), x, y, "the open set")
+    steps = [(space.points[z], s.circ._gen_rows[z]) for z in iter_bits(mask)]
+    chain = _shortest_chain(i, j, steps)
+    return [(space.points[a], z, space.points[b]) for a, z, b in chain]
 
 
 def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:
@@ -818,11 +788,10 @@ def check_pseudo_circulation(s: Stream, family: Sequence[Iterable[str]]) -> bool
     restrictions."""
     space = s.space
     sets = [frozenset(a) for a in family]
-    union: set[str] = set()
-    for a in sets:
-        union.update(a)
-    for p in union:
-        if not any(p in interior(space, a) for a in sets):
+    union = frozenset().union(*sets)
+    covered = frozenset().union(*(interior(space, a) for a in sets))
+    for p in space.points:
+        if p in union and p not in covered:
             raise NeighborhoodConditionFailed(f"no member is a neighborhood of {p!r}")
     carrier = sorted(union)
     big = s.value(carrier)

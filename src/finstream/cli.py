@@ -15,7 +15,6 @@ from . import models
 from .category import (
     DiagramArrow,
     StreamDiagram,
-    StreamMap,
     colimit,
     limit,
     product_stream,
@@ -147,7 +146,7 @@ def _circulation_check(pc, mode: str) -> dict:
 def _check_stream(stream: Stream, which: str, mode: str) -> list[dict]:
     checks = []
     if which in ("all", "circulation"):
-        checks.append(_circulation_check(stream.circ.as_precirculation(), mode))
+        checks.append(_circulation_check(stream.circ, mode))
     if which in ("all", "intervals"):
         ok, pair = check_connected_intervals(stream)
         checks.append(
@@ -305,7 +304,6 @@ def cmd_combine(args) -> int:
         mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
         circ = pushforward(stream_in, mapping, target)
         stream = Stream(target, circ)
-        StreamMap(stream_in, stream, mapping)
         spot = ["map is a stream map into the result"]
     elif op == "pullback-cosheafify":
         if args.space is None or args.map is None:
@@ -315,7 +313,6 @@ def cmd_combine(args) -> int:
         mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
         circ = cosheafify(pullback(stream_in, mapping, source_space))
         stream = Stream(source_space, circ)
-        StreamMap(stream, stream_in, mapping)
         spot = ["map is a stream map out of the result"]
     elif op in ("limit", "colimit"):
         if args.diagram is None:
@@ -326,7 +323,7 @@ def cmd_combine(args) -> int:
     else:
         raise FormatError(f"unknown operation {op!r}")
     if args.check_universal:
-        report = _circulation_check(stream.circ.as_precirculation(), "fast")
+        report = _circulation_check(stream.circ, "fast")
         if not report["ok"]:
             sys.stderr.write(canonical_dumps(
                 {"universal_spot_checks": "failed", "details": spot, "gluing": report}

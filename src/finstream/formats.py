@@ -12,6 +12,7 @@ import json
 from typing import Any, Mapping
 
 from .circulation import (
+    Circulation,
     Precirculation,
     Stream,
     StoredPrecirculation,
@@ -53,15 +54,10 @@ def serialize_stream(s: Stream) -> dict:
     }
 
 
-def serialize_precirculation(pc: Precirculation, opens=None) -> dict:
-    """Stored form: values on an explicit list of opens (default: all)."""
-    masks = (
-        list(all_opens(pc.space))
-        if opens is None
-        else [pc.space.mask_of(o) for o in opens]
-    )
+def serialize_precirculation(pc: Precirculation) -> dict:
+    """Stored form: the values on every open."""
     assign = []
-    for mask in sorted(masks):
+    for mask in sorted(all_opens(pc.space)):
         value = pc.assign_mask(mask)
         assign.append(
             {"open": sorted(pc.space.set_of(mask)), "pairs": _pairs(value)}
@@ -189,7 +185,7 @@ def dump(value, path: str) -> None:
         obj = serialize_stream(value)
     elif isinstance(value, FiniteSpace):
         obj = serialize_space(value)
-    elif isinstance(value, Precirculation):
+    elif isinstance(value, Precirculation) and not isinstance(value, Circulation):
         obj = serialize_precirculation(value)
     else:
         raise FormatError(f"cannot serialize {type(value).__name__}")

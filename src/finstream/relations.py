@@ -85,10 +85,6 @@ class Relation:
         """All y with x related to y."""
         return frozenset(self.carrier[j] for j in iter_bits(self.rows[self.index(x)]))
 
-    def preimage_set(self, y: str) -> frozenset[str]:
-        j = self.index(y)
-        return frozenset(x for i, x in enumerate(self.carrier) if self.rows[i] >> j & 1)
-
     def mask_of(self, points: Iterable[str]) -> int:
         mask = 0
         for p in points:

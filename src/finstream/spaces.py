@@ -59,9 +59,6 @@ class FiniteSpace:
     def min_open(self, x: str) -> frozenset[str]:
         return self.set_of(self.min_open_rows[self.index(x)])
 
-    def min_open_table(self) -> dict[str, frozenset[str]]:
-        return {p: self.min_open(p) for p in self.points}
-
     def __repr__(self) -> str:
         table = {p: sorted(self.min_open(p)) for p in self.points}
         return f"FiniteSpace({table!r})"

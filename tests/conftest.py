@@ -13,6 +13,7 @@ import random
 import pytest
 
 from finstream import (
+    AlternatingChain,
     Stream,
     all_opens,
     bounded_interval,
@@ -206,6 +207,44 @@ def chain_witness_oracle(s, open_set, x, y):
                 nxt.append(b)
         frontier = nxt
     raise AssertionError("related pair admits no generator chain")
+
+
+def alternating_witness_oracle(s, u, v, x, y):
+    """alternating_witness as a breadth-first search over (point, last
+    label) states on the two opens' Preorder values, so that consecutive
+    steps alternate by construction; the same errors."""
+    union_value = s.value(set(u) | set(v))
+    if x not in union_value or y not in union_value:
+        raise UnknownPoint(f"{x!r} or {y!r} outside the union")
+    if not union_value.has(x, y):
+        raise NotRelated(f"{x!r} is not below {y!r} on the union")
+    if x == y:
+        return AlternatingChain((x,), ())
+    values = (("U", s.value(u)), ("V", s.value(v)))
+    start = (x, "")
+    parents = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for point, last in frontier:
+            for label, value in values:
+                if label == last or point not in value:
+                    continue
+                for q in sorted(value.image_set(point)):
+                    state = (q, label)
+                    if q == point or state in parents:
+                        continue
+                    parents[state] = (point, last)
+                    if q == y:
+                        points, labels = [], []
+                        while state is not None:
+                            points.append(state[0])
+                            labels.append(state[1])
+                            state = parents[state]
+                        return AlternatingChain(tuple(points[::-1]), tuple(labels[::-1][1:]))
+                    nxt.append(state)
+        frontier = nxt
+    raise AssertionError("related pair admits no alternating chain")
 
 
 def query_oracle(s, open_arg, x, y, witness):

@@ -6,6 +6,7 @@ import pytest
 from finstream import (
     DiagramArrow,
     Preorder,
+    Stream,
     StreamDiagram,
     StreamMap,
     all_opens,
@@ -13,6 +14,7 @@ from finstream import (
     colimit,
     compose,
     coproduct_stream,
+    cosheafify,
     directed_circle,
     directed_interval,
     enumerate_point_maps,
@@ -26,6 +28,8 @@ from finstream import (
     limit,
     point_stream,
     product_stream,
+    pullback,
+    pushforward,
     quotient_stream,
     stream_isomorphism,
     substream,
@@ -592,8 +596,9 @@ class TestLimitOracle:
 
 
 class TestLegsByConstruction:
-    """Legs of universal constructions skip the StreamMap re-check; the
-    definition still holds for every one of them."""
+    """Legs of universal constructions skip the StreamMap re-check, and so
+    do the maps of the CLI's pushforward and pullback-cosheafify results;
+    the definition still holds for every one of them."""
 
     def test_every_leg_is_a_stream_map(self, corpus_streams, tiny_spaces):
         rng = random.Random(7)
@@ -611,9 +616,13 @@ class TestLegsByConstruction:
             other = rng.choice(spaces)
             f = random_continuous_map(rng, s.space, other)
             legs += final_structure(other, [(s, f)])[1]
+            pushed = Stream(other, pushforward(s, f, other))
+            legs.append(StreamMap._by_construction(s, pushed, f))
             g = random_continuous_map(rng, other, s.space)
             if g is not None:
                 legs += initial_structure(other, [(g, s)])[1]
+                pulled = Stream(other, cosheafify(pullback(s, g, other)))
+                legs.append(StreamMap._by_construction(pulled, s, g))
         for shape in SHAPES:
             for _ in range(3):
                 d = random_diagram(rng, spaces, shape)

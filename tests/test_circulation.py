@@ -1,6 +1,12 @@
 import gc
 import itertools
+import os
+import random
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +74,7 @@ from finstream.relations import iter_bits
 from finstream.spaces import space_from_min_opens
 
 from conftest import (
+    alternating_witness_oracle,
     chain_witness_oracle,
     closure_oracle,
     connected_intervals_oracle,
@@ -91,6 +98,8 @@ def leaving_circulation():
     circ = object.__new__(Circulation)
     object.__setattr__(circ, "space", space)
     object.__setattr__(circ, "gen", (gen_x, Preorder.identity("y")))
+    object.__setattr__(circ, "_memo", {})
+    object.__setattr__(circ, "_lock", threading.Lock())
     return circ
 
 
@@ -574,6 +583,78 @@ class TestAlternatingWitness:
                     assert here == y
 
 
+WITNESS_SCRIPT = """
+from finstream import check_pseudo_circulation, directed_interval, directed_square
+from finstream.circulation import alternating_witness, chain_witness
+from finstream.errors import NeighborhoodConditionFailed
+
+s = directed_square(3, 3)
+u = s.space.min_open("(v1,v1)")
+v = s.space.min_open("(v2,v1)")
+union = sorted(u | v)
+value = s.value(union)
+for x in value.carrier:
+    for y in sorted(value.image_set(x)):
+        print(x, y, alternating_witness(s, u, v, x, y), chain_witness(s, union, x, y))
+try:
+    check_pseudo_circulation(directed_interval(3), [["v0", "v1", "v2", "v3"]])
+except NeighborhoodConditionFailed as exc:
+    print(exc)
+"""
+
+
+class TestWitnessesReproducible:
+    """Witnesses and error messages do not depend on the hash seed, and the
+    alternating witness is as short as the (point, label) search finds."""
+
+    def test_same_output_under_every_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", WITNESS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        (text,) = outputs
+        assert text.count("AlternatingChain") == 90  # the union's related pairs
+        assert text.endswith("no member is a neighborhood of 'v0'\n")
+
+    def test_alternating_matches_label_search_oracle(self):
+        rng = random.Random(11)
+        for s in model_streams():
+            space = s.space
+            stars = list(dict.fromkeys(space.min_open_rows))
+            opens = all_opens(space)
+            pairs = list(itertools.combinations_with_replacement(stars, 2))
+            pairs += [tuple(rng.sample(opens, 2)) for _ in range(20) if len(opens) > 1]
+            for umask, vmask in pairs:
+                u, v = space.set_of(umask), space.set_of(vmask)
+                value = s.value_mask(umask | vmask)
+                for x in value.carrier:
+                    for y in value.image_set(x):
+                        chain = alternating_witness(s, u, v, x, y)
+                        assert len(chain) == len(alternating_witness_oracle(s, u, v, x, y))
+                        assert validate_alternating_witness(s, u, v, x, y, chain)
+
+    def test_errors_match_label_search_oracle(self):
+        s = directed_interval(3)
+        u, v = s.space.min_open("v1"), s.space.min_open("v2")
+
+        def outcome(fn, x, y):
+            try:
+                return len(fn(s, u, v, x, y))
+            except (UnknownPoint, NotRelated) as exc:
+                return type(exc), str(exc)
+
+        for x in s.space.points + ("zz",):
+            for y in s.space.points:
+                expected = outcome(alternating_witness_oracle, x, y)
+                assert outcome(alternating_witness, x, y) == expected
+
+
 class TestChainWitness:
     """chain_witness decides on the open's value rows; the oracle decides on
     its Preorder value, as the function did before."""
@@ -687,6 +768,12 @@ class TestPseudoCirculations:
         s = directed_interval(1)
         with pytest.raises(NeighborhoodConditionFailed):
             check_pseudo_circulation(s, [["v0"]])
+
+    def test_least_failing_point_named(self):
+        # every vertex fails: its minimal open holds edges outside the family
+        s = directed_interval(3)
+        with pytest.raises(NeighborhoodConditionFailed, match="of 'v0'$"):
+            check_pseudo_circulation(s, [["v0", "v1", "v2", "v3"]])
 
     def test_random_valid_families(self, rng, corpus_streams):
         from finstream.spaces import interior

@@ -6,6 +6,7 @@ from finstream import Stream, directed_circle, directed_interval, empty_stream
 from finstream.errors import FormatError, InvalidPreorder
 from finstream.formats import (
     canonical_dumps,
+    dump,
     parse_any,
     parse_precirculation,
     parse_space,
@@ -71,6 +72,16 @@ class TestSpaceAndPrecirculation:
                 continue
             assert back.assign_mask(mask) == fx.pulled.assign_mask(mask)
         assert back.exact is False or back.exact is True
+
+    def test_dump_refuses_a_bare_circulation(self, tmp_path):
+        # a circulation is a precirculation, but its file form is the stream's
+        path = tmp_path / "circ.json"
+        with pytest.raises(FormatError, match="cannot serialize Circulation"):
+            dump(directed_interval(1).circ, str(path))
+        assert not path.exists()
+        fx = pathology_fixture()
+        dump(fx.pulled, str(path))
+        assert parse_any(json.loads(path.read_text())).space == fx.corner_space
 
     def test_parse_any_dispatch(self):
         s = directed_interval(1)
