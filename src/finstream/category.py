@@ -7,11 +7,14 @@ suffices (preimages commute with unions, the source value on a preimage
 glues from the preimages of minimal opens, and closure cannot escape a
 preorder), and the equivalence with the all-opens check is property-tested.
 
-Colimit-style structure is transported by joining pushforwards; limit-style
-structure by cosheafifying intersections of pullbacks. Limits and colimits
-of finite diagrams are computed concretely on the underlying spaces
-(compatible tuples inside a product, quotients of a tagged disjoint union)
-and then endowed with the initial or final structure over their legs.
+Every construction is a construction on the underlying spaces plus one of
+two lifts, each one saturation of one generator family: the final lift
+(the smallest circulation making a cocone of maps into stream maps) for
+quotients, coproducts, colimits and pushforwards, and the initial lift (the
+largest circulation making a cone of maps into stream maps) for products,
+substreams, limits and cosheafified pullbacks. The test suite compares both
+with their definitions: joins of pushforwards, and cosheafified meets of
+pullbacks.
 """
 
 from __future__ import annotations
@@ -21,21 +24,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .circulation import (
-    Precirculation,
     Stream,
-    chaotic_precirculation,
-    circulation_from_generators,
-    cosheafify,
-    join_circulations,
-    pullback,
-    pushforward,
+    _final_lift,
+    _initial_lift,
     substream_circulation,
-    trivial_circulation,
 )
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
 from .relations import iter_bits, product, tuple_point
 from .spaces import (
     FiniteSpace,
+    _by_unique_name,
     all_opens,
     coproduct_space,
     is_continuous,
@@ -147,14 +145,9 @@ def final_structure(
     target: FiniteSpace, legs: Sequence[tuple[Stream, Mapping[str, str]]]
 ) -> tuple[Stream, list[StreamMap]]:
     """The universal stream on a fixed space making a cocone of continuous
-    maps into stream maps: join of the pushforwards (trivial for no legs)."""
-    if legs:
-        circ = join_circulations(
-            [pushforward(s, f, target) for s, f in legs]
-        )
-    else:
-        circ = trivial_circulation(target)
-    stream = Stream(target, circ)
+    maps into stream maps: the final lift over the legs, which saturates the
+    images of the legs' generators once (trivial for no legs)."""
+    stream = Stream(target, _final_lift(target, legs))
     return stream, [StreamMap._by_construction(s, stream, dict(f)) for s, f in legs]
 
 
@@ -162,80 +155,35 @@ def initial_structure(
     source: FiniteSpace, legs: Sequence[tuple[Mapping[str, str], Stream]]
 ) -> tuple[Stream, list[StreamMap]]:
     """The universal stream on a fixed space making a cone of continuous maps
-    into stream maps: cosheafification of the intersection of the pullbacks
-    (of the everything-related assignment when there are no legs)."""
-    if not legs:
-        circ = cosheafify(chaotic_precirculation(source))
-        return Stream(source, circ), []
-    pulled = [pullback(s, f, source) for f, s in legs]
-
-    def meet(mask: int) -> tuple[int, ...]:
-        rows = pulled[0].rows_on(mask)
-        for pb in pulled[1:]:
-            rows = tuple(r & p for r, p in zip(rows, pb.rows_on(mask)))
-        return rows
-
-    circ = cosheafify(Precirculation(source, meet))
-    stream = Stream(source, circ)
+    into stream maps: the initial lift over the legs, which saturates once
+    the minimal-open values cut out by every leg (chaotic for no legs). It
+    equals the cosheafification of the meet of the pullbacks."""
+    stream = Stream(source, _initial_lift(source, legs))
     return stream, [StreamMap._by_construction(stream, s, dict(f)) for f, s in legs]
 
 
 def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
-    """Product: componentwise order of the projected values on each open,
-    cut down to the open, then cosheafified; projections are stream maps."""
+    """Product space with the initial structure over the two projections."""
     space = product_space(s.space, t.space)
-    pairs = {
-        tuple_point(x, y): (x, y) for x in s.space.points for y in t.space.points
-    }
-    coords = [
-        (s.space.index(x), t.space.index(y)) for x, y in (pairs[p] for p in space.points)
-    ]
-
-    def assign(wmask: int) -> tuple[int, ...]:
-        left_mask = 0
-        right_mask = 0
-        members = list(iter_bits(wmask))
-        for i in members:
-            li, ri = coords[i]
-            left_mask |= 1 << li
-            right_mask |= 1 << ri
-        lrows = s.circ.value_rows(left_mask)
-        rrows = t.circ.value_rows(right_mask)
-        rows = [0] * space.n
-        for i in members:
-            lrow, rrow = lrows[coords[i][0]], rrows[coords[i][1]]
-            for k in members:
-                lk, rk = coords[k]
-                if lrow >> lk & 1 and rrow >> rk & 1:
-                    rows[i] |= 1 << k
-        return tuple(rows)
-
-    circ = cosheafify(Precirculation(space, assign))
-    stream = Stream(space, circ)
-    first = {p: xy[0] for p, xy in pairs.items()}
-    second = {p: xy[1] for p, xy in pairs.items()}
-    return (
-        stream,
-        StreamMap._by_construction(stream, s, first),
-        StreamMap._by_construction(stream, t, second),
-    )
+    first = {tuple_point(x, y): x for x in s.space.points for y in t.space.points}
+    second = {tuple_point(x, y): y for x in s.space.points for y in t.space.points}
+    stream, (to_s, to_t) = initial_structure(space, [(first, s), (second, t)])
+    return stream, to_s, to_t
 
 
 def substream(s: Stream, points: Iterable[str]) -> tuple[Stream, StreamMap]:
-    """Subspace with the largest circulation making inclusion a stream map."""
-    sub, circ = substream_circulation(s, points)
-    stream = Stream(sub, circ)
-    return stream, StreamMap._by_construction(stream, s, {p: p for p in sub.points})
+    """Subspace with the initial structure over the inclusion."""
+    stream = Stream(*substream_circulation(s, points))
+    return stream, StreamMap._by_construction(stream, s, {p: p for p in stream.space.points})
 
 
 def quotient_stream(
     s: Stream, partition: Iterable[Iterable[str]]
 ) -> tuple[Stream, StreamMap]:
-    """Quotient space carrying the pushforward along the projection."""
+    """Quotient space with the final structure over the projection."""
     space, projection = quotient_space(s.space, partition)
-    circ = pushforward(s, projection, space)
-    stream = Stream(space, circ)
-    return stream, StreamMap._by_construction(s, stream, projection)
+    stream, (leg,) = final_structure(space, [(s, projection)])
+    return stream, leg
 
 
 def coproduct_stream(
@@ -320,7 +268,7 @@ def _product_many(
                 extend(j + 1)
 
     extend(0)
-    assoc = {c[0] if k == 1 else tuple_point(*c): c for c in combos}
+    assoc = _by_unique_name(((c[0] if k == 1 else tuple_point(*c), c) for c in combos), "limit")
     points = tuple(sorted(assoc))
     coords = [[sp.index(x) for sp, x in zip(spaces, assoc[p])] for p in points]
     ups = []

@@ -272,6 +272,59 @@ def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circula
     return circ
 
 
+def _final_lift(
+    target: FiniteSpace, legs: Sequence[tuple[Stream, Mapping[str, str]]]
+) -> Circulation:
+    """The smallest circulation on the target making every leg (s, f) a
+    stream map: the saturation of one family whose member at a target point
+    j is the image of every leg generator gen(y) with f(y) = j.
+
+    Continuity puts the image of gen(y) inside min_open(f(y)), and the
+    saturation closes each value, so no source value is closed here. With no
+    legs every member is empty and the result is trivial."""
+    family = [[0] * target.n for _ in range(target.n)]
+    for s, f in legs:
+        require_continuous(f, s.space, target)
+        fidx = [target.index(f[p]) for p in s.space.points]
+        for y, rows in enumerate(s.circ._gen_rows):
+            member = family[fidx[y]]
+            for a in iter_bits(s.space.min_open_rows[y]):
+                for b in iter_bits(rows[a]):
+                    member[fidx[a]] |= 1 << fidx[b]
+    return _saturate(target, family)
+
+
+def _initial_lift(
+    source: FiniteSpace, legs: Sequence[tuple[Mapping[str, str], Stream]]
+) -> Circulation:
+    """The largest circulation on the source making every leg (f, s) a
+    stream map: the saturation of one family whose member at x relates a to
+    b on min_open(x) when every leg relates f(a) to f(b) on min_open(f(x));
+    with no legs, all of min_open(x) (the chaotic value).
+
+    Legs are read with ``value_rows``, not from their generators, so a leg
+    built directly from unsaturated generators still gives its whole value."""
+    family = [[0] * source.n for _ in range(source.n)]
+    for mo, rows in zip(source.min_open_rows, family):
+        for a in iter_bits(mo):
+            rows[a] = mo
+    for f, s in legs:
+        require_continuous(f, source, s.space)
+        fidx = [s.space.index(f[p]) for p in source.points]
+        fibre = [0] * s.space.n
+        for a, t in enumerate(fidx):
+            fibre[t] |= 1 << a
+        preimages: dict[int, int] = {}  # a row's preimage; fibres are disjoint, so sum is OR
+        for x, rows in enumerate(family):
+            value = s.circ.value_rows(s.space.min_open_rows[fidx[x]])
+            for a in iter_bits(source.min_open_rows[x]):
+                row = value[fidx[a]]
+                if row not in preimages:
+                    preimages[row] = sum(fibre[t] for t in iter_bits(row))
+                rows[a] &= preimages[row]
+    return _saturate(source, family)
+
+
 @dataclass(frozen=True)
 class Stream:
     """A finite space together with a circulation on it."""
@@ -323,8 +376,8 @@ def preorder_on_open(s: Stream, open_set: Iterable[str]) -> Preorder:
 
 
 def trivial_circulation(space: FiniteSpace) -> Circulation:
-    gens = {x: Preorder.identity(space.min_open(x)) for x in space.points}
-    return circulation_from_generators(space, gens)
+    """Only the diagonal on every open: the saturation of no generators."""
+    return _saturate(space)
 
 
 def trivial_stream(space: FiniteSpace) -> Stream:
@@ -540,30 +593,10 @@ def cosheafify_by_enumeration(pc: Precirculation) -> Circulation:
 
 def pushforward(s: Stream, f: Mapping[str, str], target: FiniteSpace) -> Circulation:
     """Transport along a continuous map: the value on an open U of the target
-    is the closure of the image of the value on its preimage.
-
-    The result is a circulation, so it is determined by its values on the
-    minimal opens; the test suite compares it with the direct definition on
-    every open. Saturation closes each generator, so the images are not
-    closed first."""
-    require_continuous(f, s.space, target)
-    src = s.space
-    fidx = {src.index(p): target.index(f[p]) for p in src.points}
-
-    def image_rows(umask: int) -> list[int]:
-        pre = 0
-        for i in range(src.n):
-            if umask >> fidx[i] & 1:
-                pre |= 1 << i
-        src_rows = s.circ.value_rows(pre)
-        rows = [0] * target.n
-        for i in iter_bits(pre):
-            ti = fidx[i]
-            for j in iter_bits(src_rows[i]):
-                rows[ti] |= 1 << fidx[j]
-        return rows
-
-    return _saturate(target, [image_rows(mo) for mo in target.min_open_rows])
+    is the closure of the image of the value on its preimage. This is the
+    final lift over the one leg; the test suite compares it with that
+    definition on every open."""
+    return _final_lift(target, [(s, f)])
 
 
 def pullback(
@@ -603,11 +636,10 @@ def underlying_preorder(s: Stream) -> Preorder:
 
 
 def substream_circulation(s: Stream, points: Iterable[str]) -> tuple[FiniteSpace, Circulation]:
-    """Universal circulation on a subspace: cosheafify the pullback along
-    the inclusion."""
+    """Universal circulation on a subspace: the initial lift over the
+    inclusion."""
     sub = subspace(s.space, points)
-    inclusion = {p: p for p in sub.points}
-    return sub, cosheafify(pullback(s.circ, inclusion, sub))
+    return sub, _initial_lift(sub, [({p: p for p in sub.points}, s)])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .category import (
     DiagramArrow,
     StreamDiagram,
     colimit,
+    final_structure,
+    initial_structure,
     limit,
     product_stream,
     quotient_stream,
@@ -26,11 +28,8 @@ from .circulation import (
     Stream,
     chain_witness,
     check_connected_intervals,
-    cosheafify,
     is_circulation,
     join_circulations,
-    pullback,
-    pushforward,
 )
 from .errors import FormatError, StreamError
 from .formats import (
@@ -302,8 +301,7 @@ def cmd_combine(args) -> int:
         stream_in = _load_stream(args.input[0])
         target = _load_space(args.space)
         mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
-        circ = pushforward(stream_in, mapping, target)
-        stream = Stream(target, circ)
+        stream, _ = final_structure(target, [(stream_in, mapping)])
         spot = ["map is a stream map into the result"]
     elif op == "pullback-cosheafify":
         if args.space is None or args.map is None:
@@ -311,8 +309,7 @@ def cmd_combine(args) -> int:
         stream_in = _load_stream(args.input[0])
         source_space = _load_space(args.space)
         mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
-        circ = cosheafify(pullback(stream_in, mapping, source_space))
-        stream = Stream(source_space, circ)
+        stream, _ = initial_structure(source_space, [(mapping, stream_in)])
         spot = ["map is a stream map out of the result"]
     elif op in ("limit", "colimit"):
         if args.diagram is None:

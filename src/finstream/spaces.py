@@ -20,6 +20,7 @@ from .errors import (
     NotContinuous,
     NotMinimal,
     NotOpen,
+    StreamError,
     UnknownPoint,
 )
 from .relations import Preorder, iter_bits, tuple_point
@@ -155,10 +156,10 @@ def is_continuous(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> b
             raise MissingPoint(f"map undefined on {p!r}")
         if f[p] not in dst:
             raise UnknownPoint(f"map sends {p!r} outside the target space")
-    for i, p in enumerate(src.points):
-        fi = dst.index(f[p])
-        for j in iter_bits(src.min_open_rows[i]):
-            if not dst.min_open_rows[fi] >> dst.index(f[src.points[j]]) & 1:
+    fidx = [dst.index(f[p]) for p in src.points]
+    for i, row in enumerate(src.min_open_rows):
+        for j in iter_bits(row):
+            if not dst.min_open_rows[fidx[i]] >> fidx[j] & 1:
                 return False
     return True
 
@@ -209,11 +210,27 @@ def subspace(space: FiniteSpace, subset: Iterable[str]) -> FiniteSpace:
     return FiniteSpace(sub, rows)
 
 
+def _by_unique_name(
+    named: Iterable[tuple[str, tuple[str, ...]]], what: str
+) -> dict[str, tuple[str, ...]]:
+    """The parts of each point by its name. Built names can collide (the
+    product of "a,b" and "c" and that of "a" and "b,c" are both "(a,b,c)");
+    a collision raises a StreamError naming the point."""
+    out: dict[str, tuple[str, ...]] = {}
+    for name, parts in named:
+        if name in out:
+            raise StreamError(
+                f"{what} point name {name!r} stands for both {out[name]!r} and {parts!r}"
+            )
+        out[name] = parts
+    return out
+
+
 def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:
     """Product topology: min_open((x,y)) = min_open(x) x min_open(y)."""
-    pairs = {
-        tuple_point(x, y): (x, y) for x in left.points for y in right.points
-    }
+    pairs = _by_unique_name(
+        ((tuple_point(x, y), (x, y)) for x in left.points for y in right.points), "product"
+    )
     pts = tuple(sorted(pairs))
     index = {p: i for i, p in enumerate(pts)}
     rows = []
@@ -239,6 +256,10 @@ def coproduct_space(
         raise ValueError("tags must be distinct and match the family")
     if len(family) == 1:
         return family[0], [{p: p for p in family[0].points}]
+    _by_unique_name(
+        ((f"{tag}:{p}", (tag, p)) for tag, space in zip(tags, family) for p in space.points),
+        "coproduct",
+    )
     table: dict[str, set[str]] = {}
     inclusions = []
     for tag, space in zip(tags, family):

@@ -14,26 +14,37 @@ import pytest
 
 from finstream import (
     AlternatingChain,
+    Circulation,
+    FuncPrecirculation,
+    Precirculation,
+    Preorder,
     Stream,
+    StreamMap,
     all_opens,
     bounded_interval,
+    chaotic_precirculation,
+    circulation_from_generators,
     closure_set,
+    cosheafify,
     directed_circle,
     directed_interval,
     directed_square,
     boundary_square,
     empty_stream,
-    initial_structure,
     is_connected,
+    join_circulations,
     point_stream,
+    product_space,
+    pullback,
     space_from_min_opens,
     specialization_circulation,
     subspace,
+    trivial_circulation,
     trivial_stream,
     tuple_point,
 )
 from finstream._kernels import closure_rows
-from finstream.corpus import all_spaces, random_stream, spaces_upto
+from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import NotRelated, UnknownPoint
 from finstream.formats import canonical_dumps
 from finstream.relations import iter_bits
@@ -108,10 +119,83 @@ def continuity_oracle(f, src, dst):
     )
 
 
+def initial_structure_oracle(source, legs):
+    """initial_structure as the cosheafification of the meet of the legs'
+    pullbacks, on every open; of the chaotic precirculation with no legs.
+    Returns the stream and its legs."""
+    if legs:
+        pulled = [pullback(s, f, source) for f, s in legs]
+
+        def meet(mask):
+            rows = pulled[0].rows_on(mask)
+            for pb in pulled[1:]:
+                rows = tuple(r & p for r, p in zip(rows, pb.rows_on(mask)))
+            return rows
+
+        pc = Precirculation(source, meet)
+    else:
+        pc = chaotic_precirculation(source)
+    stream = Stream(source, cosheafify(pc))
+    return stream, [StreamMap(stream, s, dict(f)) for f, s in legs]
+
+
+def pushforward_oracle(s, f, target):
+    """pushforward by its definition: per target minimal open, the image of
+    the source value on its preimage, closed by fixpoint iteration; the
+    family of those values is then saturated."""
+    gens = {}
+    for j in target.points:
+        u = target.min_open(j)
+        value = s.value([p for p in s.space.points if f[p] in u])
+        gens[j] = Preorder.build(u, closure_oracle(u, {(f[a], f[b]) for a, b in value.pairs()}))
+    return circulation_from_generators(target, gens)
+
+
+def final_structure_oracle(target, legs):
+    """final_structure as the join of the legs' pushforward oracles; trivial
+    with no legs. Returns the stream and its legs."""
+    if legs:
+        circ = join_circulations([pushforward_oracle(s, f, target) for s, f in legs])
+    else:
+        circ = trivial_circulation(target)
+    stream = Stream(target, circ)
+    return stream, [StreamMap(s, stream, dict(f)) for s, f in legs]
+
+
+def product_oracle(s, t):
+    """product_stream as the componentwise order of the projected values on
+    each open of the product space, cut down to the open and cosheafified.
+    Returns the stream only."""
+    space = product_space(s.space, t.space)
+    pairs = {tuple_point(x, y): (x, y) for x in s.space.points for y in t.space.points}
+
+    def assign(mask):
+        members = sorted(space.set_of(mask))
+        left = s.value({pairs[p][0] for p in members})
+        right = t.value({pairs[p][1] for p in members})
+        related = [
+            (p, q)
+            for p in members
+            for q in members
+            if left.has(pairs[p][0], pairs[q][0]) and right.has(pairs[p][1], pairs[q][1])
+        ]
+        return Preorder.build(members, related)
+
+    return Stream(space, cosheafify(FuncPrecirculation(space, assign)))
+
+
+def unsaturated_stream(rng, space):
+    """A stream built directly from random generators that are not
+    saturated: gen(x) need not hold the generators of min_open(x)'s
+    points, so reading a generator instead of a value goes wrong."""
+    gen = tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
+    return Stream(space, Circulation(space, gen))
+
+
 def limit_oracle(diagram):
     """limit by building the whole product of the objects' spaces, keeping
     the tuples every arrow respects and cutting the product down to them,
-    with the initial structure over the projections."""
+    with the initial structure oracle over the projections."""
     keys = diagram.object_keys()
     spaces = [diagram.objects[k].space for k in keys]
     if len(spaces) == 1:
@@ -143,7 +227,7 @@ def limit_oracle(diagram):
         ({name: assoc[name][slot[k]] for name in base.points}, diagram.objects[k])
         for k in keys
     ]
-    stream, stream_legs = initial_structure(base, legs)
+    stream, stream_legs = initial_structure_oracle(base, legs)
     return stream, dict(zip(keys, stream_legs))
 
 

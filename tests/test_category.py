@@ -42,7 +42,7 @@ from finstream.errors import IllTypedDiagram, NotStreamMap
 from finstream.formats import canonical_dumps, serialize_stream
 from finstream.spaces import space_from_min_opens
 
-from conftest import limit_oracle
+from conftest import limit_oracle, product_oracle
 
 
 def circle_rotation(n):
@@ -182,7 +182,7 @@ class TestInitialStructure:
             stream, _ = initial_structure(
                 prod.space, [(first.mapping, a), (second.mapping, b)]
             )
-            assert stream == prod
+            assert stream == product_oracle(a, b)
 
     def test_couniversal(self, rng, tiny_spaces):
         pool = [sp for sp in tiny_spaces if 0 < sp.n <= 2]

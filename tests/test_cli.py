@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from finstream import directed_circle, directed_interval, tuple_point
+from finstream import directed_circle, directed_interval, point_stream, trivial_stream, tuple_point
 from finstream.cli import main
 from finstream.errors import StreamError
 from finstream.formats import (
@@ -14,7 +14,7 @@ from finstream.formats import (
     serialize_stream,
 )
 from finstream.models import pathology_fixture
-from finstream.spaces import all_opens
+from finstream.spaces import all_opens, space_from_min_opens
 
 from conftest import model_streams, query_oracle
 
@@ -356,13 +356,19 @@ class TestExport:
         assert code == 0
 
 
+# A prefix argument that stands for the malformed file itself, for
+# operations that read it more than once.
+BAD_FILE = "<bad.json>"
+
+
 def malformed_cases():
     """Inputs that must exit 2 with one error line: a missing or bad builder
     name or argument (a float or a boolean is not an integer), truncated
     diagram JSON, a diagram arrow missing a field, a diagram or atlas of the
     wrong shape, a short generator pair, a precirculation whose ``exact`` is
     not a boolean, point names, point lists and point maps nested one level
-    too deep, and JSON nested deeper than the parser's recursion limit."""
+    too deep, JSON nested deeper than the parser's recursion limit, and
+    products, limits and colimits whose built point names collide."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
@@ -431,6 +437,21 @@ def malformed_cases():
     cases.append(
         pytest.param(["combine", "limit", "--diagram"], json.dumps(nested_map), id="arrow-map-nested")
     )
+    # ("a,a", "a") and ("a", "a,a") are both named "(a,a,a)"
+    commas = serialize_stream(trivial_stream(space_from_min_opens(["a", "a,a"], {"a": ["a"], "a,a": ["a,a"]})))
+    cases.append(pytest.param(
+        ["combine", "product", "--input", BAD_FILE, "--input"], json.dumps(commas), id="product-names-collide"
+    ))
+    cases.append(pytest.param(
+        ["combine", "limit", "--diagram"],
+        json.dumps({"objects": {"a": commas, "b": commas}, "arrows": {}}),
+        id="limit-names-collide",
+    ))
+    # object "a" with point "b:c" and object "a:b" with point "c" both give "a:b:c"
+    tagged = {"a": serialize_stream(point_stream("b:c")), "a:b": serialize_stream(point_stream("c"))}
+    cases.append(pytest.param(
+        ["combine", "colimit", "--diagram"], json.dumps({"objects": tagged, "arrows": {}}), id="colimit-names-collide"
+    ))
     return cases
 
 
@@ -438,7 +459,8 @@ def malformed_cases():
 def test_malformed_input_exits_2(tmp_path, capsys, prefix, content):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")
-    code, out, err = run(capsys, *prefix, str(path))
+    argv = [str(path) if arg == BAD_FILE else arg for arg in prefix]
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
