@@ -33,7 +33,7 @@ from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
 from .relations import iter_bits, product, tuple_point
 from .spaces import (
     FiniteSpace,
-    _by_unique_name,
+    _tuple_space,
     all_opens,
     coproduct_space,
     is_continuous,
@@ -233,13 +233,9 @@ def _product_many(
     (i, j, mapping). Coordinates are assigned in order and each arrow is
     tested as soon as both of its ends are assigned, so an arrow from an
     earlier coordinate forces the later one and only compatible tuples are
-    built. Product points are named with :func:`tuple_point`; a single
-    factor keeps its own point names, so one-object limits return the
-    object itself (cut down by its self-loops).
-
-    The minimal open of t in the subspace is the set of compatible s with
-    s[i] in min_open(t[i]) for every i: the AND over coordinates of one
-    mask per (coordinate, point), computed straight on the tuples."""
+    built. The subspace comes from :func:`spaces._tuple_space`, so a single
+    factor keeps its own point names and one-object limits return the
+    object itself (cut down by its self-loops)."""
     k = len(spaces)
     forced: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
     checked: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
@@ -268,23 +264,7 @@ def _product_many(
                 extend(j + 1)
 
     extend(0)
-    assoc = _by_unique_name(((c[0] if k == 1 else tuple_point(*c), c) for c in combos), "limit")
-    points = tuple(sorted(assoc))
-    coords = [[sp.index(x) for sp, x in zip(spaces, assoc[p])] for p in points]
-    ups = []
-    for i, sp in enumerate(spaces):
-        select = [0] * sp.n
-        for t, c in enumerate(coords):
-            select[c[i]] |= 1 << t
-        # the select masks of distinct points are disjoint, so sum is OR
-        ups.append([sum(select[y] for y in iter_bits(row)) for row in sp.min_open_rows])
-    rows = []
-    for c in coords:
-        row = (1 << len(points)) - 1
-        for up, x in zip(ups, c):
-            row &= up[x]
-        rows.append(row)
-    return FiniteSpace(points, tuple(rows)), assoc
+    return _tuple_space(spaces, combos, "limit")
 
 
 def limit(diagram: StreamDiagram) -> tuple[Stream, dict[str, StreamMap]]:

@@ -3,9 +3,9 @@
 A circulation assigns a preorder to every open set so that the value on any
 union of opens is the join of the values on the members (the cosheaf/gluing
 condition). On a finite space the cover by minimal opens refines every cover,
-so a circulation is determined by its values on minimal opens; that family
-(``gen``) is the only thing stored, and every other value is derived by
-joining. The determination is checked against a brute enumeration oracle in
+so a circulation is determined by its values on minimal opens; that family,
+as bitmask rows, is the only thing stored, and every other value is derived
+by joining. The determination is checked against a brute enumeration oracle in
 the test suite.
 
 A precirculation only promises monotonicity under inclusion of opens; it is
@@ -196,25 +196,23 @@ def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
     return Precirculation(space, full)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circulation(Precirculation):
-    """A circulation stored by its minimal-open values, one per point,
-    saturated so that gen(x) is the join of the gens inside min_open(x).
+    """A circulation stored once, as its generator rows ``_gen_rows``: one
+    member per point, zero off that point's minimal open, saturated so that
+    gen(x) is the join of the gens inside min_open(x). Equality and hashing
+    read the space and the rows; ``gen`` builds the Preorders on first read.
 
-    A circulation is its own precirculation: it computes each value by
-    joining the generator rows over the open and holds the one memo of
-    those values. Construction enforces one generator per point, on exactly
-    that point's minimal open (``CarrierMismatch`` otherwise), so the gluing
-    and monotonicity checks accept a circulation without a scan.
-
-    ``gen`` holds the generators as Preorders for callers, ``_gen_rows`` the
-    same generators as full-space rows."""
+    A circulation is its own precirculation: it joins the generator rows
+    over each open and holds the one memo of those values. The constructor
+    takes one Preorder per point on exactly its minimal open
+    (``CarrierMismatch`` otherwise), so the gluing and monotonicity checks
+    accept a circulation without a scan."""
 
     space: FiniteSpace
-    gen: tuple[Preorder, ...]
+    _gen_rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        space, gen = self.space, self.gen
+    def __init__(self, space: FiniteSpace, gen: Sequence[Preorder]):
         if len(gen) < space.n:
             raise CarrierMismatch(f"no generator for {space.points[len(gen)]!r}")
         if len(gen) > space.n:
@@ -222,12 +220,29 @@ class Circulation(Precirculation):
         for x, mo, p in zip(space.points, space.min_open_rows, gen):
             if frozenset(p.carrier) != space.set_of(mo):
                 raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
+        self._hold(space, tuple(_embed_rows(p, space) for p in gen))
+
+    @classmethod
+    def _by_construction(
+        cls, space: FiniteSpace, gen_rows: tuple[tuple[int, ...], ...]
+    ) -> Circulation:
+        """From rows that meet the constructor's conditions; no check."""
+        circ = object.__new__(cls)
+        circ._hold(space, gen_rows)
+        return circ
+
+    def _hold(self, space: FiniteSpace, gen_rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_gen_rows", gen_rows)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_lock", threading.Lock())
 
     @cached_property
-    def _gen_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_embed_rows(p, self.space) for p in self.gen)
+    def gen(self) -> tuple[Preorder, ...]:
+        return tuple(
+            _extract_preorder(self.space, mo, rows)
+            for mo, rows in zip(self.space.min_open_rows, self._gen_rows)
+        )
 
     def _compute(self, mask: int) -> tuple[int, ...]:
         return _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
@@ -260,16 +275,10 @@ def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circula
     one generator per point (zero off that point's minimal open): gen(x) is
     the join, inside min_open(x), of every family's generators of
     min_open(x)'s points."""
-    saturated = tuple(
+    return Circulation._by_construction(space, tuple(
         _join_on(space, mo, (family[j] for j in iter_bits(mo) for family in families))
         for mo in space.min_open_rows
-    )
-    gen = tuple(
-        _extract_preorder(space, mo, rows) for mo, rows in zip(space.min_open_rows, saturated)
-    )
-    circ = Circulation(space, gen)
-    circ.__dict__["_gen_rows"] = saturated  # seeds the cached_property; no re-embedding
-    return circ
+    ))
 
 
 def _final_lift(
@@ -385,10 +394,11 @@ def trivial_stream(space: FiniteSpace) -> Stream:
 
 
 def specialization_circulation(space: FiniteSpace) -> Circulation:
-    """Restriction of the specialization preorder to each open set."""
-    spec = Preorder(space.points, space.min_open_rows)
-    gens = {x: spec.restrict(space.min_open(x)) for x in space.points}
-    return circulation_from_generators(space, gens)
+    """Restriction of the specialization preorder to each open set: at x,
+    row a of min_open(x) is min_open(a)."""
+    rows = space.min_open_rows
+    family = [tuple(rows[a] if mo >> a & 1 else 0 for a in range(space.n)) for mo in rows]
+    return _saturate(space, family)
 
 
 def connectivity_circulation(space: FiniteSpace) -> Circulation:
@@ -562,13 +572,10 @@ def enumerate_circulations(space: FiniteSpace) -> tuple[Circulation, ...]:
         total *= len(c)
     if total > 2_000_000:
         raise ValueError("too many generator families to enumerate")
-    seen = {}
-    for combo in itertools.product(*choices):
-        circ = circulation_from_generators(
-            space, dict(zip(space.points, combo))
-        )
-        seen.setdefault(circ.gen, circ)
-    return tuple(seen.values())
+    return tuple(dict.fromkeys(
+        circulation_from_generators(space, dict(zip(space.points, combo)))
+        for combo in itertools.product(*choices)
+    ))
 
 
 def cosheafify_by_enumeration(pc: Precirculation) -> Circulation:

@@ -16,7 +16,6 @@ from .circulation import (
     Circulation,
     Precirculation,
     Stream,
-    StoredPrecirculation,
     cosheafify,
     pullback,
     specialization_circulation,
@@ -147,12 +146,12 @@ def stream_from_atlas(
     """Stream generated by an atlas: an open cover with a partial order per
     chart, all charts agreeing on every shared minimal open.
 
-    The chart orders induce a precirculation stored on the minimal-open
-    basis (each point takes its order from any chart around it; agreement is
-    what compatibility checks), and the result is its cosheafification. The
-    output therefore only depends on the atlas's restrictions to the basis,
-    so refining a chart into smaller charts with the same orders leaves the
-    stream unchanged."""
+    Each point takes as its generator the order of any chart around it,
+    restricted to its minimal open (agreement is what compatibility
+    checks), and the result is the circulation those generators saturate
+    to. The output therefore only depends on the atlas's restrictions to
+    the minimal opens, so refining a chart into smaller charts with the
+    same orders leaves the stream unchanged."""
     sets = []
     for chart, order in charts:
         members = frozenset(chart)
@@ -167,9 +166,7 @@ def stream_from_atlas(
                 f"chart {sorted(members)!r} carries a non-antisymmetric order"
             )
         sets.append((members, order))
-    covered = set()
-    for members, _ in sets:
-        covered.update(members)
+    covered = set().union(*(members for members, _ in sets))
     if covered != set(space.points):
         raise NotACover(f"charts miss points {sorted(set(space.points) - covered)!r}")
     gens: dict[str, Preorder] = {}
@@ -187,10 +184,7 @@ def stream_from_atlas(
                     f"charts disagree on min_open({x!r})"
                 )
         gens[x] = seen
-    stored = StoredPrecirculation(
-        space, {space.min_open(x): gens[x] for x in space.points}, exact=True
-    )
-    return Stream(space, cosheafify(stored))
+    return stream_from_generators(space, gens)
 
 
 @dataclass(frozen=True)

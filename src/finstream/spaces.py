@@ -226,22 +226,38 @@ def _by_unique_name(
     return out
 
 
+def _tuple_space(
+    factors: Sequence[FiniteSpace], tuples: Iterable[tuple[str, ...]], what: str
+) -> tuple[FiniteSpace, dict[str, tuple[str, ...]]]:
+    """The tuples as a subspace of the factors' product, and each point's
+    tuple by its name (:func:`tuple_point`; a single factor keeps its names,
+    and a collision raises a StreamError labelled ``what``). The minimal open
+    of t, the tuples s with s[i] in min_open(t[i]) for every i, is the AND
+    over coordinates of one mask per (coordinate, point)."""
+    single = len(factors) == 1
+    assoc = _by_unique_name(((c[0] if single else tuple_point(*c), c) for c in tuples), what)
+    points = tuple(sorted(assoc))
+    coords = [[sp.index(x) for sp, x in zip(factors, assoc[p])] for p in points]
+    ups = []
+    for i, sp in enumerate(factors):
+        select = [0] * sp.n
+        for t, c in enumerate(coords):
+            select[c[i]] |= 1 << t
+        # the select masks of distinct points are disjoint, so sum is OR
+        ups.append([sum(select[y] for y in iter_bits(row)) for row in sp.min_open_rows])
+    rows = []
+    for c in coords:
+        row = (1 << len(points)) - 1
+        for up, x in zip(ups, c):
+            row &= up[x]
+        rows.append(row)
+    return FiniteSpace(points, tuple(rows)), assoc
+
+
 def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:
     """Product topology: min_open((x,y)) = min_open(x) x min_open(y)."""
-    pairs = _by_unique_name(
-        ((tuple_point(x, y), (x, y)) for x in left.points for y in right.points), "product"
-    )
-    pts = tuple(sorted(pairs))
-    index = {p: i for i, p in enumerate(pts)}
-    rows = []
-    for p in pts:
-        x, y = pairs[p]
-        mask = 0
-        for a in left.min_open(x):
-            for b in right.min_open(y):
-                mask |= 1 << index[tuple_point(a, b)]
-        rows.append(mask)
-    return FiniteSpace(pts, tuple(rows))
+    pairs = ((x, y) for x in left.points for y in right.points)
+    return _tuple_space((left, right), pairs, "product")[0]
 
 
 def coproduct_space(
@@ -252,8 +268,10 @@ def coproduct_space(
     one-object colimits return the object itself."""
     if tags is None:
         tags = [str(i) for i in range(len(family))]
-    if len(tags) != len(family) or len(set(tags)) != len(tags):
-        raise ValueError("tags must be distinct and match the family")
+    if len(tags) != len(family):
+        raise StreamError(f"{len(tags)} coproduct tags for {len(family)} summands")
+    if len(set(tags)) != len(tags):
+        raise StreamError("coproduct tags repeat")
     if len(family) == 1:
         return family[0], [{p: p for p in family[0].points}]
     _by_unique_name(

@@ -18,6 +18,7 @@ from finstream import (
     FuncPrecirculation,
     Precirculation,
     Preorder,
+    StoredPrecirculation,
     Stream,
     StreamMap,
     all_opens,
@@ -182,6 +183,26 @@ def product_oracle(s, t):
         return Preorder.build(members, related)
 
     return Stream(space, cosheafify(FuncPrecirculation(space, assign)))
+
+
+def specialization_circulation_oracle(space):
+    """specialization_circulation through Preorders: the specialization
+    preorder restricted to each minimal open, saturated."""
+    spec = Preorder(space.points, space.min_open_rows)
+    gens = {x: spec.restrict(space.min_open(x)) for x in space.points}
+    return circulation_from_generators(space, gens)
+
+
+def stream_from_atlas_oracle(space, charts):
+    """stream_from_atlas on a valid atlas as the cosheafification of a
+    precirculation stored on the minimal opens, each taking its order from
+    any chart around its point."""
+    stored = {}
+    for x in space.points:
+        local = space.min_open(x)
+        order = next(order for chart, order in charts if x in chart)
+        stored[local] = order.restrict(local)
+    return Stream(space, cosheafify(StoredPrecirculation(space, stored, exact=True)))
 
 
 def unsaturated_stream(rng, space):

@@ -38,7 +38,7 @@ from finstream import (
 )
 from finstream import category
 from finstream.corpus import random_continuous_map, random_partition, random_stream
-from finstream.errors import IllTypedDiagram, NotStreamMap
+from finstream.errors import IllTypedDiagram, NotStreamMap, StreamError
 from finstream.formats import canonical_dumps, serialize_stream
 from finstream.spaces import space_from_min_opens
 
@@ -400,6 +400,14 @@ class TestCoproduct:
                     for p in b.space.points:
                         merged[incs[1].mapping[p]] = g[p]
                     assert is_stream_map(merged, cop, t).ok
+
+    def test_repeated_or_miscounted_tags_are_stream_errors(self):
+        with pytest.raises(StreamError, match="repeat"):
+            coproduct_stream([point_stream(), point_stream()], ["a", "a"])
+        with pytest.raises(StreamError, match="1 coproduct tags for 2 summands"):
+            coproduct_stream([point_stream(), point_stream()], ["a"])
+        with pytest.raises(StreamError, match="3 coproduct tags for 2 summands"):
+            coproduct_stream([point_stream(), point_stream()], ["a", "b", "c"])
 
 
 class TestLimitsAndColimits:

@@ -97,7 +97,8 @@ def leaving_circulation():
     gen_x = Preorder.build("xy", [("x", "x"), ("y", "y"), ("y", "x")])
     circ = object.__new__(Circulation)
     object.__setattr__(circ, "space", space)
-    object.__setattr__(circ, "gen", (gen_x, Preorder.identity("y")))
+    rows = tuple(circulation._embed_rows(p, space) for p in (gen_x, Preorder.identity("y")))
+    object.__setattr__(circ, "_gen_rows", rows)
     object.__setattr__(circ, "_memo", {})
     object.__setattr__(circ, "_lock", threading.Lock())
     return circ
@@ -324,9 +325,9 @@ class TestGeneratorShortcut:
 
     def test_off_open_or_missing_generators_rejected(self):
         space = space_from_min_opens("xy", {"x": "x", "y": "y"})
-        leaving = leaving_circulation()
+        gen_x = Preorder.build("xy", [("x", "x"), ("y", "y"), ("y", "x")])
         for gen in (
-            leaving.gen,
+            (gen_x, Preorder.identity("y")),
             (Preorder.identity("xy"), Preorder.identity("y")),
             (Preorder.identity("x"), Preorder.identity("x")),
             (Preorder.identity("x"), Preorder.identity("y"), Preorder.identity("y")),

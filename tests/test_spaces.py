@@ -25,6 +25,7 @@ from finstream.errors import (
     InvalidPartition,
     MissingPoint,
     NotMinimal,
+    StreamError,
     UnknownPoint,
 )
 from finstream.spaces import open_supersets
@@ -218,6 +219,27 @@ class TestSubspaceProductQuotient:
         assert space.n == 3
         assert space.min_open(inclusions[0]["a"]) == {"0:a", "0:b"}
         assert is_open(space, {"1:z"})
+
+    def test_product_matches_definition(self, tiny_spaces):
+        # min_open((x,y)) is min_open(x) x min_open(y), on tuple_point names
+        for left in tiny_spaces[:12]:
+            for right in tiny_spaces[:12]:
+                table = {
+                    tuple_point(x, y): [
+                        tuple_point(a, b) for a in left.min_open(x) for b in right.min_open(y)
+                    ]
+                    for x in left.points
+                    for y in right.points
+                }
+                assert product_space(left, right) == space_from_min_opens(table, table)
+
+    def test_product_names_collide(self):
+        left = space_from_min_opens(["a", "a,b"], {"a": ["a"], "a,b": ["a,b"]})
+        right = space_from_min_opens(["b,c", "c"], {"b,c": ["b,c"], "c": ["c"]})
+        message = "product point name '(a,b,c)' stands for both ('a', 'b,c') and ('a,b', 'c')"
+        with pytest.raises(StreamError) as caught:
+            product_space(left, right)
+        assert str(caught.value) == message
 
     def test_subspace_universal_property(self, tiny_spaces):
         # continuous maps landing in A are exactly continuous maps into the
