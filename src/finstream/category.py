@@ -156,8 +156,9 @@ def initial_structure(
 ) -> tuple[Stream, list[StreamMap]]:
     """The universal stream on a fixed space making a cone of continuous maps
     into stream maps: the initial lift over the legs, which saturates once
-    the minimal-open values cut out by every leg (chaotic for no legs). It
-    equals the cosheafification of the meet of the pullbacks."""
+    the chaotic minimal-open values cut down by every leg's generators
+    (chaotic for no legs). It equals the cosheafification of the meet of the
+    pullbacks."""
     stream = Stream(source, _initial_lift(source, legs))
     return stream, [StreamMap._by_construction(stream, s, dict(f)) for f, s in legs]
 

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ._kernels import closure_rows
 from .errors import (
     CarrierMismatch,
+    InvalidPreorder,
     MissingPoint,
     NeighborhoodConditionFailed,
     NotConvex,
@@ -196,31 +197,50 @@ def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
     return Precirculation(space, full)
 
 
+def _embed_family(space: FiniteSpace, gen: Sequence[Preorder]) -> tuple[tuple[int, ...], ...]:
+    """One Preorder per point, each on exactly its point's minimal open
+    (``CarrierMismatch`` otherwise), as full-space rows."""
+    if len(gen) < space.n:
+        raise CarrierMismatch(f"no generator for {space.points[len(gen)]!r}")
+    if len(gen) > space.n:
+        raise CarrierMismatch(f"{len(gen)} generators for {space.n} points")
+    for x, mo, p in zip(space.points, space.min_open_rows, gen):
+        if frozenset(p.carrier) != space.set_of(mo):
+            raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
+    return tuple(_embed_rows(p, space) for p in gen)
+
+
 @dataclass(frozen=True, init=False)
 class Circulation(Precirculation):
     """A circulation stored once, as its generator rows ``_gen_rows``: one
     member per point, zero off that point's minimal open, saturated so that
-    gen(x) is the join of the gens inside min_open(x). Equality and hashing
-    read the space and the rows; ``gen`` builds the Preorders on first read.
+    gen(x) is the join of the gens inside min_open(x), which is the value on
+    min_open(x). Equality and hashing read the space and the rows; ``gen``
+    builds the Preorders on first read.
 
     A circulation is its own precirculation: it joins the generator rows
     over each open and holds the one memo of those values. The constructor
     takes one Preorder per point on exactly its minimal open
-    (``CarrierMismatch`` otherwise), so the gluing and monotonicity checks
+    (``CarrierMismatch`` otherwise), and checks saturation without a
+    closure: gen(y) lies inside gen(x) for every y in min_open(x)
+    (``InvalidPreorder`` naming the least failing x otherwise). gen(x) is
+    itself a member of the join and already closed, so that containment is
+    exactly "saturating changes nothing". The gluing and monotonicity checks
     accept a circulation without a scan."""
 
     space: FiniteSpace
     _gen_rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, space: FiniteSpace, gen: Sequence[Preorder]):
-        if len(gen) < space.n:
-            raise CarrierMismatch(f"no generator for {space.points[len(gen)]!r}")
-        if len(gen) > space.n:
-            raise CarrierMismatch(f"{len(gen)} generators for {space.n} points")
-        for x, mo, p in zip(space.points, space.min_open_rows, gen):
-            if frozenset(p.carrier) != space.set_of(mo):
-                raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
-        self._hold(space, tuple(_embed_rows(p, space) for p in gen))
+        rows = _embed_family(space, gen)
+        mos = space.min_open_rows
+        for x, big in enumerate(rows):
+            for y in iter_bits(mos[x] & ~(1 << x)):
+                small = rows[y]
+                for a in iter_bits(mos[y]):
+                    if small[a] & ~big[a]:
+                        raise InvalidPreorder(f"generator for {space.points[x]!r} is not saturated")
+        self._hold(space, rows)
 
     @classmethod
     def _by_construction(
@@ -308,11 +328,9 @@ def _initial_lift(
 ) -> Circulation:
     """The largest circulation on the source making every leg (f, s) a
     stream map: the saturation of one family whose member at x relates a to
-    b on min_open(x) when every leg relates f(a) to f(b) on min_open(f(x));
-    with no legs, all of min_open(x) (the chaotic value).
-
-    Legs are read with ``value_rows``, not from their generators, so a leg
-    built directly from unsaturated generators still gives its whole value."""
+    b on min_open(x) when every leg relates f(a) to f(b) on min_open(f(x)),
+    which is the leg's generator at f(x); with no legs, all of min_open(x)
+    (the chaotic value)."""
     family = [[0] * source.n for _ in range(source.n)]
     for mo, rows in zip(source.min_open_rows, family):
         for a in iter_bits(mo):
@@ -325,7 +343,7 @@ def _initial_lift(
             fibre[t] |= 1 << a
         preimages: dict[int, int] = {}  # a row's preimage; fibres are disjoint, so sum is OR
         for x, rows in enumerate(family):
-            value = s.circ.value_rows(s.space.min_open_rows[fidx[x]])
+            value = s.circ._gen_rows[fidx[x]]
             for a in iter_bits(source.min_open_rows[x]):
                 row = value[fidx[a]]
                 if row not in preimages:
@@ -371,8 +389,7 @@ def circulation_from_generators(
     for x in space.points:
         if x not in gens:
             raise MissingPoint(f"no generator for {x!r}")
-    given = Circulation(space, tuple(gens[x] for x in space.points))
-    return _saturate(space, given._gen_rows)
+    return _saturate(space, _embed_family(space, tuple(gens[x] for x in space.points)))
 
 
 def stream_from_generators(space: FiniteSpace, gens: Mapping[str, Preorder]) -> Stream:
@@ -459,13 +476,10 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     cover refines every cover, so this is equivalent to the full condition;
     the equivalence is itself property-tested).
 
-    A ``Circulation`` passes without a scan. This is exact because it is
-    built with one generator per point, on exactly its point's minimal open:
-    the value on W is by definition the closure on W of the generators over
-    W; each minimal-open value over W contains its point's generator and
-    lies inside the value on W, so the join of the minimal-open values is
-    that value on every open. Any other precirculation takes the scan over
-    every open.
+    A ``Circulation`` passes without a scan: its generators are saturated,
+    so each is the value on its point's minimal open, and the value on W,
+    the closure on W of the generators over W, is the join of those values.
+    Any other precirculation takes the scan over every open.
 
     exhaustive: literally quantify over collections of nonempty opens, in a
     deterministic order (collections by size, then lexicographically by their

@@ -18,7 +18,7 @@ from .circulation import (
     StoredPrecirculation,
     circulation_from_generators,
 )
-from .errors import FormatError, InvalidPreorder
+from .errors import FormatError
 from .relations import Preorder
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
@@ -128,12 +128,13 @@ def _parse_gen_table(space: FiniteSpace, table: Mapping) -> dict[str, Preorder]:
 
 
 def parse_stream(obj: Mapping, strict: bool = True) -> Stream:
+    """A stream file. Strict parsing takes the gen table as the circulation
+    (``InvalidPreorder`` when it is not saturated); lax parsing saturates it."""
     space = parse_space(obj)
     gens = _parse_gen_table(space, _require(obj, "gen", dict))
-    circ = circulation_from_generators(space, gens)
-    if strict and tuple(gens[x] for x in space.points) != circ.gen:
-        raise InvalidPreorder("gen table is not saturated; not canonical")
-    return Stream(space, circ)
+    if strict:
+        return Stream(space, Circulation(space, [gens[x] for x in space.points]))
+    return Stream(space, circulation_from_generators(space, gens))
 
 
 def parse_precirculation(obj: Mapping) -> StoredPrecirculation:

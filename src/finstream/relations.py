@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import closure_rows, gather_rows
-from .errors import InvalidPreorder, UnknownPoint
+from .errors import InvalidPreorder, StreamError, UnknownPoint
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -196,18 +196,34 @@ def join(preorders: Sequence[Preorder], carrier: Iterable[str] | None = None) ->
     return Preorder(out, closure_rows(rows, len(out)))
 
 
+def _by_unique_name(
+    named: Iterable[tuple[str, tuple[str, ...]]], what: str
+) -> dict[str, tuple[str, ...]]:
+    """The parts of each point by its name. Built names can collide (the
+    product of "a,b" and "c" and that of "a" and "b,c" are both "(a,b,c)");
+    a collision raises a StreamError naming the point."""
+    out: dict[str, tuple[str, ...]] = {}
+    for name, parts in named:
+        if name in out:
+            raise StreamError(
+                f"{what} point name {name!r} stands for both {out[name]!r} and {parts!r}"
+            )
+        out[name] = parts
+    return out
+
+
 def product(factors: Sequence[Relation]) -> Relation:
     """Componentwise relation on the Cartesian product of the carriers.
 
-    Product points are named with :func:`tuple_point`. A product of preorders
-    is returned as a Preorder.
+    Product points are named with :func:`tuple_point`; colliding names raise
+    a StreamError. A product of preorders is returned as a Preorder.
     """
-    tuples = sorted(
-        itertools.product(*(f.carrier for f in factors)),
-        key=lambda t: tuple_point(*t),
+    assoc = _by_unique_name(
+        ((tuple_point(*t), t) for t in itertools.product(*(f.carrier for f in factors))),
+        "product",
     )
-    carrier = tuple(tuple_point(*t) for t in tuples)
-    indices = [tuple(f.index(x) for f, x in zip(factors, t)) for t in tuples]
+    carrier = tuple(sorted(assoc))
+    indices = [tuple(f.index(x) for f, x in zip(factors, assoc[p])) for p in carrier]
     rows = []
     for src in indices:
         row = 0

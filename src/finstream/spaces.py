@@ -23,7 +23,7 @@ from .errors import (
     StreamError,
     UnknownPoint,
 )
-from .relations import Preorder, iter_bits, tuple_point
+from .relations import Preorder, _by_unique_name, iter_bits, tuple_point
 
 
 @dataclass(frozen=True)
@@ -208,22 +208,6 @@ def subspace(space: FiniteSpace, subset: Iterable[str]) -> FiniteSpace:
     mask = space.mask_of(sub)
     rows = gather_rows([space.min_open_rows[i] for i in iter_bits(mask)], mask)
     return FiniteSpace(sub, rows)
-
-
-def _by_unique_name(
-    named: Iterable[tuple[str, tuple[str, ...]]], what: str
-) -> dict[str, tuple[str, ...]]:
-    """The parts of each point by its name. Built names can collide (the
-    product of "a,b" and "c" and that of "a" and "b,c" are both "(a,b,c)");
-    a collision raises a StreamError naming the point."""
-    out: dict[str, tuple[str, ...]] = {}
-    for name, parts in named:
-        if name in out:
-            raise StreamError(
-                f"{what} point name {name!r} stands for both {out[name]!r} and {parts!r}"
-            )
-        out[name] = parts
-    return out
 
 
 def _tuple_space(

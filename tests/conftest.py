@@ -14,7 +14,6 @@ import pytest
 
 from finstream import (
     AlternatingChain,
-    Circulation,
     FuncPrecirculation,
     Precirculation,
     Preorder,
@@ -206,11 +205,11 @@ def stream_from_atlas_oracle(space, charts):
 
 
 def unsaturated_stream(rng, space):
-    """A stream built directly from random generators that are not
-    saturated: gen(x) need not hold the generators of min_open(x)'s
-    points, so reading a generator instead of a value goes wrong."""
+    """A stream saturated from random generators that are not: gen(x) need
+    not hold the generators of min_open(x)'s points until saturation adds
+    them."""
     gen = tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
-    return Stream(space, Circulation(space, gen))
+    return Stream(space, circulation_from_generators(space, dict(zip(space.points, gen))))
 
 
 def limit_oracle(diagram):

@@ -308,9 +308,12 @@ class TestGeneratorShortcut:
             self.assert_matches_scan(s.circ, monotone=s.space.n <= 9)
 
     def test_unsaturated_families_match_scan(self, rng, small_spaces):
+        # random families, saturated, then given to the public constructor
         for space in small_spaces:
             gen = tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
-            circ = Circulation(space, gen)
+            saturated = circulation_from_generators(space, dict(zip(space.points, gen)))
+            circ = Circulation(space, saturated.gen)
+            assert circ == saturated
             assert is_circulation(circ.as_precirculation(), "fast").ok
             self.assert_matches_scan(circ)
 

@@ -246,23 +246,6 @@ class TestCombine:
         stream = load(str(prod))
         assert stream.space.n == 9
 
-    def test_failed_gluing_recheck_exits_1(self, tmp_path, capsys, monkeypatch):
-        from finstream import cli
-        from finstream.circulation import CirculationCheck, CosheafWitness
-
-        a = tmp_path / "a.json"
-        write(a, serialize_stream(directed_interval(1)))
-        failing = CirculationCheck(False, CosheafWitness((("e1",),), "e1", "v0"))
-        monkeypatch.setattr(cli, "is_circulation", lambda pc, mode: failing)
-        code, out, err = run(
-            capsys, "combine", "join", "--input", str(a), "--check-universal",
-        )
-        assert code == 1
-        assert out == ""
-        report = json.loads(err)
-        assert report["universal_spot_checks"] == "failed"
-        assert report["gluing"]["witness"]["pair"] == ["e1", "v0"]
-
     def test_quotient_interval_to_circle(self, tmp_path, capsys):
         a = tmp_path / "i2.json"
         write(a, serialize_stream(directed_interval(2)))

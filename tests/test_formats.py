@@ -2,7 +2,28 @@ import json
 
 import pytest
 
-from finstream import Stream, directed_circle, directed_interval, empty_stream
+from finstream import (
+    DiagramArrow,
+    Stream,
+    StreamDiagram,
+    chaotic_precirculation,
+    colimit,
+    coproduct_stream,
+    cosheafify,
+    directed_circle,
+    directed_interval,
+    empty_stream,
+    final_structure,
+    initial_structure,
+    join_circulations,
+    limit,
+    product_stream,
+    quotient_stream,
+    specialization_circulation,
+    subspace,
+    substream,
+    trivial_circulation,
+)
 from finstream.errors import FormatError, InvalidPreorder
 from finstream.formats import (
     canonical_dumps,
@@ -16,12 +37,37 @@ from finstream.formats import (
     serialize_stream,
     stream_to_dot,
 )
-from finstream.models import pathology_fixture
+from finstream.models import interval_endpoint_partition, pathology_fixture
+
+from conftest import model_streams
+
+
+def construction_results():
+    """The result of each stream construction, on small models."""
+    interval, circle = directed_interval(2), directed_circle(2)
+    ident = {p: p for p in interval.space.points}
+    diagram = StreamDiagram({"a": interval, "b": interval}, {"f": DiagramArrow("a", "b", ident)})
+    projection = {p: ("v0" if p == "v2" else p) for p in interval.space.points}
+    sub_points = ["v0", "e1", "v1"]
+    return [
+        product_stream(interval, circle)[0],
+        substream(interval, sub_points)[0],
+        quotient_stream(interval, interval_endpoint_partition(2))[0],
+        coproduct_stream([interval, circle], ["i", "c"])[0],
+        limit(diagram)[0],
+        colimit(diagram)[0],
+        final_structure(circle.space, [(interval, projection)])[0],
+        initial_structure(subspace(interval.space, sub_points), [(ident, interval)])[0],
+        Stream(circle.space, join_circulations([circle.circ, trivial_circulation(circle.space)])),
+        Stream(circle.space, cosheafify(chaotic_precirculation(circle.space))),
+        Stream(interval.space, specialization_circulation(interval.space)),
+    ]
 
 
 class TestStreamRoundTrip:
-    def test_byte_identical(self):
-        for s in (directed_interval(2), directed_circle(3), empty_stream()):
+    def test_byte_identical(self, corpus_streams):
+        fixed = (directed_interval(2), directed_circle(3), empty_stream())
+        for s in fixed + tuple(model_streams() + corpus_streams + construction_results()):
             text = canonical_dumps(serialize_stream(s))
             back = parse_stream(json.loads(text))
             assert back == s

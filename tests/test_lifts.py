@@ -6,7 +6,7 @@ or the initial lift (initial_structure, product_stream, substream, limit).
 The oracles in conftest compute the same structures the long way, as joins
 of pushforwards and as cosheafified meets of pullbacks over every open.
 Results are compared as canonical JSON, on corpus streams and on streams
-built directly from generators that were never saturated."""
+saturated from random generators that were not."""
 
 import random
 
@@ -55,8 +55,9 @@ def as_json(stream, legs=()):
 
 @pytest.fixture(scope="module")
 def sources(corpus_streams, small_spaces):
-    """A seeded sample of the corpus, then an unsaturated stream on each
-    small space that has a minimal open of two points or more."""
+    """A seeded sample of the corpus, then a stream saturated from random
+    generators on each small space that has a minimal open of two points or
+    more."""
     rng = random.Random(31)
     sample = rng.sample(corpus_streams, 40)
     wide = [sp for sp in small_spaces if any(mo.bit_count() > 1 for mo in sp.min_open_rows)]

@@ -16,7 +16,7 @@ from finstream import (
     transitive_reflexive_closure,
     tuple_point,
 )
-from finstream.errors import InvalidPreorder, UnknownPoint
+from finstream.errors import InvalidPreorder, StreamError, UnknownPoint
 
 from conftest import closure_oracle, convex_oracle
 
@@ -117,6 +117,13 @@ class TestJoin:
 
 
 class TestProduct:
+    def test_colliding_names_raise(self):
+        # ("a", "b,c") and ("a,b", "c") would both be named "(a,b,c)"
+        message = "product point name '(a,b,c)' stands for both ('a', 'b,c') and ('a,b', 'c')"
+        with pytest.raises(StreamError) as caught:
+            product([Preorder.identity(["a", "a,b"]), Preorder.identity(["b,c", "c"])])
+        assert str(caught.value) == message
+
     def test_identity_factors(self):
         p = product([Preorder.identity("ab"), Preorder.identity("c")])
         assert isinstance(p, Preorder)

@@ -1,13 +1,17 @@
-"""A circulation is stored once, as its generator rows.
+"""A circulation is stored once, as its saturated generator rows.
 
 Equality and hashing read the space and the rows, ``gen`` is built from the
-rows when first read, and the constructions build their results from rows
-without a Preorder. The two constructors that used to go through Preorders
-are compared with those versions, kept in ``conftest`` as oracles.
+rows when first read, and the constructions and strict parsing build their
+results from rows without a Preorder. The public constructor accepts exactly
+the saturated families. The two constructors that used to go through
+Preorders are compared with those versions, kept in ``conftest`` as oracles.
 """
 
 import dataclasses
 import random
+import re
+
+import pytest
 
 from finstream import (
     Circulation,
@@ -21,20 +25,26 @@ from finstream import (
     cosheafify,
     directed_circle,
     directed_interval,
+    directed_square,
+    is_stream_map,
     join_circulations,
     limit,
     pathology_fixture,
     product_stream,
     pushforward,
     quotient_stream,
+    space_from_min_opens,
     specialization_circulation,
     stream_from_atlas,
+    stream_from_generators,
+    stream_isomorphism,
     substream,
     transitive_reflexive_closure,
 )
 from finstream import circulation
-from finstream.corpus import random_precirculation, random_stream
-from finstream.formats import canonical_dumps, serialize_stream
+from finstream.corpus import random_precirculation, random_preorder, random_stream
+from finstream.errors import InvalidPreorder
+from finstream.formats import canonical_dumps, parse_stream, serialize_stream
 from finstream.models import interval_endpoint_partition
 
 from conftest import model_streams, specialization_circulation_oracle, stream_from_atlas_oracle
@@ -83,6 +93,59 @@ class TestOneStoredForm:
             assert rebuilt._gen_rows == s.circ._gen_rows
 
 
+def random_family(rng, space):
+    return tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
+
+
+def relabelled(space, gens, rename):
+    """The stream from the generators with every point p renamed to
+    rename[p]."""
+    table = {rename[p]: [rename[q] for q in space.min_open(p)] for p in space.points}
+    renamed = {
+        rename[p]: transitive_reflexive_closure(
+            Relation.build(table[rename[p]], [(rename[a], rename[b]) for a, b in g.pairs()])
+        )
+        for p, g in gens.items()
+    }
+    return stream_from_generators(space_from_min_opens(table.keys(), table), renamed)
+
+
+class TestEveryCirculationIsSaturated:
+    def test_constructor_rejects_exactly_what_saturation_changes(self, small_spaces):
+        # The oracle is _saturate on the embedded family; the constructor
+        # names the least point whose generator saturation changes. Accepting
+        # s.circ.gen of every corpus and model stream is
+        # TestOneStoredForm::test_public_constructor_round_trips.
+        rng = random.Random(1111)
+        verdicts = set()
+        for space in small_spaces:
+            for _ in range(5):
+                gen = random_family(rng, space)
+                embedded = tuple(circulation._embed_rows(p, space) for p in gen)
+                saturated = circulation._saturate(space, embedded)._gen_rows
+                changed = [x for x, a, b in zip(space.points, embedded, saturated) if a != b]
+                verdicts.add(bool(changed))
+                if changed:
+                    message = f"generator for {changed[0]!r} is not saturated"
+                    with pytest.raises(InvalidPreorder, match=f"^{re.escape(message)}$"):
+                        Circulation(space, gen)
+                else:
+                    assert Circulation(space, gen)._gen_rows == embedded
+        assert verdicts == {False, True}
+
+    def test_isomorphic_to_a_relabelled_copy(self, small_spaces):
+        rng = random.Random(2222)
+        for space in small_spaces:
+            gens = dict(zip(space.points, random_family(rng, space)))
+            s = stream_from_generators(space, gens)
+            rename = {p: f"q{space.n - i}" for i, p in enumerate(space.points)}
+            copy = relabelled(space, gens, rename)
+            iso = stream_isomorphism(s, copy)
+            assert iso is not None
+            assert is_stream_map(iso, s, copy).ok
+            assert is_stream_map({q: p for p, q in iso.items()}, copy, s).ok
+
+
 class TestNoPreordersInConstructions:
     def test_constructions_extract_no_preorder(self, monkeypatch):
         interval, circle = directed_interval(2), directed_circle(2)
@@ -95,6 +158,7 @@ class TestNoPreordersInConstructions:
         stored = random_precirculation(rng, circle.space, seeds=3)
         pulled = pathology_fixture().pulled
         other = random_stream(rng, circle.space).circ
+        square_file = serialize_stream(directed_square(6, 6))
         calls = []
         real = circulation._extract_preorder
 
@@ -114,6 +178,7 @@ class TestNoPreordersInConstructions:
         cosheafify(stored)
         cosheafify(pulled)
         specialization_circulation(interval.space)
+        parse_stream(square_file)
         assert calls == []
 
 
