@@ -210,6 +210,19 @@ def _embed_family(space: FiniteSpace, gen: Sequence[Preorder]) -> tuple[tuple[in
     return tuple(_embed_rows(p, space) for p in gen)
 
 
+def _require_saturated(space: FiniteSpace, gen_rows: Sequence[Sequence[int]]) -> None:
+    """The constructor's saturation test on a generator family as full-space
+    rows: gen(y) lies inside gen(x) for every y in min_open(x), otherwise
+    ``InvalidPreorder`` naming the least failing x."""
+    mos = space.min_open_rows
+    for x, big in enumerate(gen_rows):
+        for y in iter_bits(mos[x] & ~(1 << x)):
+            small = gen_rows[y]
+            for a in iter_bits(mos[y]):
+                if small[a] & ~big[a]:
+                    raise InvalidPreorder(f"generator for {space.points[x]!r} is not saturated")
+
+
 @dataclass(frozen=True, init=False)
 class Circulation(Precirculation):
     """A circulation stored once, as its generator rows ``_gen_rows``: one
@@ -233,13 +246,7 @@ class Circulation(Precirculation):
 
     def __init__(self, space: FiniteSpace, gen: Sequence[Preorder]):
         rows = _embed_family(space, gen)
-        mos = space.min_open_rows
-        for x, big in enumerate(rows):
-            for y in iter_bits(mos[x] & ~(1 << x)):
-                small = rows[y]
-                for a in iter_bits(mos[y]):
-                    if small[a] & ~big[a]:
-                        raise InvalidPreorder(f"generator for {space.points[x]!r} is not saturated")
+        _require_saturated(space, rows)
         self._hold(space, rows)
 
     @classmethod

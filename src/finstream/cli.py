@@ -45,7 +45,7 @@ from .formats import (
     serialize_stream,
     stream_to_dot,
 )
-from .relations import Preorder
+from .relations import Preorder, Relation
 from .spaces import FiniteSpace, require_open_mask
 
 
@@ -155,7 +155,9 @@ def _check_stream(stream: Stream, which: str, mode: str) -> list[dict]:
             }
         )
     if which in ("all", "antisymmetry"):
-        anti = stream.underlying().is_antisymmetric()
+        everything = (1 << stream.space.n) - 1
+        rows = stream.circ.value_rows(everything)
+        anti = Relation(stream.space.points, rows).is_antisymmetric()
         checks.append({"check": "antisymmetry", "ok": anti, "witness": None})
     return checks
 

@@ -16,10 +16,11 @@ from .circulation import (
     Precirculation,
     Stream,
     StoredPrecirculation,
-    circulation_from_generators,
+    _require_saturated,
+    _saturate,
 )
-from .errors import FormatError
-from .relations import Preorder
+from .errors import FormatError, InvalidPreorder, UnknownPoint
+from .relations import Preorder, iter_bits
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"
@@ -31,10 +32,21 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _names(points: tuple[str, ...], mask: int) -> list[str]:
+    """The points of a mask; points are sorted, so bit order is name order."""
+    return [points[i] for i in iter_bits(mask)]
+
+
+def _row_pairs(points: tuple[str, ...], mask: int, rows) -> list[list[str]]:
+    """The graph of full-space rows on an open as a sorted pair list."""
+    return [[points[a], points[b]] for a in iter_bits(mask) for b in iter_bits(rows[a])]
+
+
 def _space_body(space: FiniteSpace) -> dict:
+    points = space.points
     return {
-        "points": list(space.points),
-        "min_open": {p: sorted(space.min_open(p)) for p in space.points},
+        "points": list(points),
+        "min_open": {p: _names(points, row) for p, row in zip(points, space.min_open_rows)},
     }
 
 
@@ -42,26 +54,23 @@ def serialize_space(space: FiniteSpace) -> dict:
     return {"format": SPACE_FORMAT, **_space_body(space)}
 
 
-def _pairs(p: Preorder) -> list[list[str]]:
-    return [list(pair) for pair in p.pairs()]
-
-
 def serialize_stream(s: Stream) -> dict:
+    space = s.space
+    gen = zip(space.points, space.min_open_rows, s.circ._gen_rows)
     return {
         "format": STREAM_FORMAT,
-        **_space_body(s.space),
-        "gen": {x: _pairs(s.gen_of(x)) for x in s.space.points},
+        **_space_body(space),
+        "gen": {x: _row_pairs(space.points, mo, rows) for x, mo, rows in gen},
     }
 
 
 def serialize_precirculation(pc: Precirculation) -> dict:
     """Stored form: the values on every open."""
-    assign = []
-    for mask in sorted(all_opens(pc.space)):
-        value = pc.assign_mask(mask)
-        assign.append(
-            {"open": sorted(pc.space.set_of(mask)), "pairs": _pairs(value)}
-        )
+    points = pc.space.points
+    assign = [
+        {"open": _names(points, mask), "pairs": _row_pairs(points, mask, pc.rows_on(mask))}
+        for mask in sorted(all_opens(pc.space))
+    ]
     exact = getattr(pc, "exact", True)
     return {
         "format": PRECIRCULATION_FORMAT,
@@ -82,14 +91,19 @@ def _require(obj: Mapping, key: str, kind=None):
     return value
 
 
-def _parse_pairs(raw) -> list[tuple[str, str]]:
+def _parse_pairs(raw) -> list[list[str]]:
     """A JSON pair list: each pair a list of two point names."""
-    if not isinstance(raw, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
-        for pair in raw
-    ):
+    if not isinstance(raw, list):
         raise FormatError("pairs must be lists of two point names")
-    return [tuple(pair) for pair in raw]
+    for pair in raw:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
+        ):
+            raise FormatError("pairs must be lists of two point names")
+    return raw
 
 
 def _point_names(raw, what: str) -> list[str]:
@@ -115,26 +129,50 @@ def parse_space(obj: Mapping) -> FiniteSpace:
     return space_from_min_opens(points, table)
 
 
-def _parse_gen_table(space: FiniteSpace, table: Mapping) -> dict[str, Preorder]:
-    gens = {}
+def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...], ...]:
+    """The gen table as generator rows: each point's pairs set on the rows of
+    its minimal open. Each point is checked as ``Preorder.build`` on its
+    minimal open checks it, with the same exceptions and messages: pair by
+    pair both ends in the open, then reflexivity, then transitivity, which
+    holds when each pair (a, b) has row b inside row a."""
     for key in table:
         if key not in space:
             raise FormatError(f"gen table keys unknown point {key!r}")
-    for x in space.points:
+    index = space._index
+    family = []
+    for x, mo in zip(space.points, space.min_open_rows):
         if x not in table:
             raise FormatError(f"gen table misses {x!r}")
-        gens[x] = Preorder.build(space.min_open(x), _parse_pairs(table[x]))
-    return gens
+        rows = [0] * space.n
+        edges = []
+        for a, b in _parse_pairs(table[x]):
+            i, j = index.get(a, -1), index.get(b, -1)
+            if i < 0 or not mo >> i & 1:
+                raise UnknownPoint(f"pair ({a!r}, {b!r}): {a!r} not in carrier")
+            if j < 0 or not mo >> j & 1:
+                raise UnknownPoint(f"pair ({a!r}, {b!r}): {b!r} not in carrier")
+            rows[i] |= 1 << j
+            edges.append((i, j))
+        for i in iter_bits(mo):
+            if not rows[i] >> i & 1:
+                raise InvalidPreorder("relation is not reflexive")
+        for i, j in edges:
+            if rows[j] & ~rows[i]:
+                raise InvalidPreorder("relation is not transitive")
+        family.append(tuple(rows))
+    return tuple(family)
 
 
 def parse_stream(obj: Mapping, strict: bool = True) -> Stream:
-    """A stream file. Strict parsing takes the gen table as the circulation
-    (``InvalidPreorder`` when it is not saturated); lax parsing saturates it."""
+    """A stream file. Strict parsing applies the ``Circulation`` constructor's
+    saturation test to the gen table's rows (``InvalidPreorder`` when it is
+    not saturated); lax parsing saturates them."""
     space = parse_space(obj)
-    gens = _parse_gen_table(space, _require(obj, "gen", dict))
+    rows = _parse_gen_table(space, _require(obj, "gen", dict))
     if strict:
-        return Stream(space, Circulation(space, [gens[x] for x in space.points]))
-    return Stream(space, circulation_from_generators(space, gens))
+        _require_saturated(space, rows)
+        return Stream(space, Circulation._by_construction(space, rows))
+    return Stream(space, _saturate(space, rows))
 
 
 def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
@@ -208,21 +246,26 @@ _PALETTE = (
 )
 
 
+def _dot_id(name: str) -> str:
+    """A point name as a quoted DOT string: backslash and quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def stream_to_dot(s: Stream) -> str:
     """Specialization order solid, each star's order colored per star."""
+    mos = s.space.min_open_rows
+    ids = [_dot_id(p) for p in s.space.points]
     lines = ["digraph stream {"]
-    for p in s.space.points:
-        lines.append(f'  "{p}";')
-    for p in s.space.points:
-        for q in sorted(s.space.min_open(p)):
-            if q != p:
-                lines.append(f'  "{p}" -> "{q}" [style=solid color=black];')
-    for k, z in enumerate(s.space.points):
-        color = _PALETTE[k % len(_PALETTE)]
-        for a, b in s.gen_of(z).pairs():
-            if a != b:
+    lines.extend(f"  {node};" for node in ids)
+    for p, mo in enumerate(mos):
+        for q in iter_bits(mo & ~(1 << p)):
+            lines.append(f"  {ids[p]} -> {ids[q]} [style=solid color=black];")
+    for z, (mo, rows) in enumerate(zip(mos, s.circ._gen_rows)):
+        color = _PALETTE[z % len(_PALETTE)]
+        for a in iter_bits(mo):
+            for b in iter_bits(rows[a] & ~(1 << a)):
                 lines.append(
-                    f'  "{a}" -> "{b}" [color={color} label="{z}" fontcolor={color}];'
+                    f"  {ids[a]} -> {ids[b]} [color={color} label={ids[z]} fontcolor={color}];"
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"

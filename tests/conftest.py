@@ -14,6 +14,7 @@ import pytest
 
 from finstream import (
     AlternatingChain,
+    Circulation,
     FuncPrecirculation,
     Precirculation,
     Preorder,
@@ -45,8 +46,14 @@ from finstream import (
 )
 from finstream._kernels import closure_rows
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
-from finstream.errors import NotRelated, UnknownPoint
-from finstream.formats import canonical_dumps
+from finstream.errors import FormatError, NotRelated, UnknownPoint
+from finstream.formats import (
+    PRECIRCULATION_FORMAT,
+    STREAM_FORMAT,
+    _require,
+    canonical_dumps,
+    parse_space,
+)
 from finstream.relations import iter_bits
 from finstream.spaces import require_open_mask
 
@@ -202,6 +209,63 @@ def stream_from_atlas_oracle(space, charts):
         order = next(order for chart, order in charts if x in chart)
         stored[local] = order.restrict(local)
     return Stream(space, cosheafify(StoredPrecirculation(space, stored, exact=True)))
+
+
+def parse_stream_oracle(obj, strict=True):
+    """parse_stream through Preorders: each gen table entry is checked and
+    built by Preorder.build on its point's minimal open, then handed to the
+    public Circulation constructor (strict) or to
+    circulation_from_generators (lax)."""
+    space = parse_space(obj)
+    table = _require(obj, "gen", dict)
+    for key in table:
+        if key not in space:
+            raise FormatError(f"gen table keys unknown point {key!r}")
+    gens = {}
+    for x in space.points:
+        if x not in table:
+            raise FormatError(f"gen table misses {x!r}")
+        raw = table[x]
+        if not isinstance(raw, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+            for pair in raw
+        ):
+            raise FormatError("pairs must be lists of two point names")
+        gens[x] = Preorder.build(space.min_open(x), [tuple(pair) for pair in raw])
+    if strict:
+        return Stream(space, Circulation(space, [gens[x] for x in space.points]))
+    return Stream(space, circulation_from_generators(space, gens))
+
+
+def _space_body_oracle(space):
+    return {
+        "points": list(space.points),
+        "min_open": {p: sorted(space.min_open(p)) for p in space.points},
+    }
+
+
+def serialize_stream_oracle(s):
+    """serialize_stream through Preorders: each generator listed by pairs()."""
+    gen = {x: [list(pair) for pair in s.gen_of(x).pairs()] for x in s.space.points}
+    return {"format": STREAM_FORMAT, **_space_body_oracle(s.space), "gen": gen}
+
+
+def serialize_precirculation_oracle(pc):
+    """serialize_precirculation through Preorders: each open's value built by
+    assign_mask and listed by pairs()."""
+    assign = [
+        {
+            "open": sorted(pc.space.set_of(mask)),
+            "pairs": [list(pair) for pair in pc.assign_mask(mask).pairs()],
+        }
+        for mask in sorted(all_opens(pc.space))
+    ]
+    return {
+        "format": PRECIRCULATION_FORMAT,
+        **_space_body_oracle(pc.space),
+        "assign": assign,
+        "exact": bool(getattr(pc, "exact", True)),
+    }
 
 
 def unsaturated_stream(rng, space):

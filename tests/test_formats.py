@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from finstream import (
     cosheafify,
     directed_circle,
     directed_interval,
+    directed_square,
     empty_stream,
     final_structure,
     initial_structure,
@@ -19,12 +22,14 @@ from finstream import (
     limit,
     product_stream,
     quotient_stream,
+    space_from_min_opens,
     specialization_circulation,
     subspace,
     substream,
     trivial_circulation,
 )
-from finstream.errors import FormatError, InvalidPreorder
+from finstream.corpus import random_precirculation, random_preorder
+from finstream.errors import FormatError, InvalidPreorder, StreamError
 from finstream.formats import (
     canonical_dumps,
     dump,
@@ -39,7 +44,12 @@ from finstream.formats import (
 )
 from finstream.models import interval_endpoint_partition, pathology_fixture
 
-from conftest import model_streams
+from conftest import (
+    model_streams,
+    parse_stream_oracle,
+    serialize_precirculation_oracle,
+    serialize_stream_oracle,
+)
 
 
 def construction_results():
@@ -69,6 +79,7 @@ class TestStreamRoundTrip:
         fixed = (directed_interval(2), directed_circle(3), empty_stream())
         for s in fixed + tuple(model_streams() + corpus_streams + construction_results()):
             text = canonical_dumps(serialize_stream(s))
+            assert text == canonical_dumps(serialize_stream_oracle(s))
             back = parse_stream(json.loads(text))
             assert back == s
             assert canonical_dumps(serialize_stream(back)) == text
@@ -102,6 +113,107 @@ class TestStreamRoundTrip:
             parse_stream(obj2)
 
 
+def outcome(parse, obj, strict):
+    """The parsed stream, or the type and message of the error raised."""
+    try:
+        return parse(obj, strict=strict)
+    except StreamError as exc:
+        return type(exc), str(exc)
+
+
+# Nested stars a > b > c, with a saturated gen table.
+NESTED = {
+    "format": "finstream.stream/1",
+    "points": ["a", "b", "c"],
+    "min_open": {"a": ["a", "b", "c"], "b": ["b", "c"], "c": ["c"]},
+    "gen": {
+        "a": [["a", "a"], ["b", "b"], ["b", "c"], ["c", "c"]],
+        "b": [["b", "b"], ["b", "c"], ["c", "c"]],
+        "c": [["c", "c"]],
+    },
+}
+
+# Each malformed table as changes to NESTED's gen table: a point's new pair
+# list, or None to drop the point.
+MALFORMED = {
+    "first end outside its star": {"b": [["a", "b"], ["b", "b"], ["c", "c"]]},
+    "second end outside its star": {"b": [["b", "b"], ["b", "a"], ["c", "c"]]},
+    "unknown first name": {"c": [["c", "c"], ["zz", "c"]]},
+    "unknown second name": {"c": [["c", "c"], ["c", "zz"]]},
+    "missing reflexive pair": {"b": [["b", "c"], ["c", "c"]]},
+    "not transitive": {"a": [["a", "a"], ["a", "b"], ["b", "b"], ["b", "c"], ["c", "c"]]},
+    "pair not a list": {"b": [["b", "b"], "bc", ["c", "c"]]},
+    "pair an object": {"c": [{"c": "c"}]},
+    "pair list not a list": {"c": "cc"},
+    "pair too short": {"c": [["c"]]},
+    "pair too long": {"c": [["c", "c", "c"]]},
+    "pair holds a number": {"c": [["c", 1]]},
+    "pair holds null": {"c": [[None, "c"]]},
+    "unsaturated": {"a": [["a", "a"], ["b", "b"], ["c", "c"]]},
+    "missing gen key": {"c": None},
+    "unknown gen key": {"zz": []},
+    # precedence
+    "bad pair after an outside one": {"b": [["a", "b"], ["b"]]},
+    "not reflexive and not transitive": {"a": [["a", "b"], ["b", "c"], ["b", "b"], ["c", "c"]]},
+    "first point's fault first": {
+        "a": [["a", "a"], ["a", "b"], ["b", "b"], ["b", "c"], ["c", "c"]],
+        "c": [["c", "b"]],
+    },
+    "star fault before saturation": {"a": [["a", "a"], ["b", "b"], ["c", "c"]], "c": [["b", "c"]]},
+    "unknown key before a missing one": {"zz": [], "c": None},
+}
+
+
+def malformed(changes):
+    obj = copy.deepcopy(NESTED)
+    for x, pairs in changes.items():
+        if pairs is None:
+            del obj["gen"][x]
+        else:
+            obj["gen"][x] = pairs
+    return obj
+
+
+class TestParserOracle:
+    """parse_stream builds generator rows from the pair lists and applies the
+    constructor's checks to them; the oracle builds a Preorder per point and
+    calls the constructor."""
+
+    def test_valid_streams(self, corpus_streams):
+        streams = model_streams() + corpus_streams + construction_results()
+        for s in streams + [directed_square(3, 2)]:
+            obj = json.loads(canonical_dumps(serialize_stream(s)))
+            for strict in (True, False):
+                got = parse_stream(obj, strict=strict)
+                assert got == parse_stream_oracle(obj, strict=strict) == s
+
+    def test_random_generator_tables(self, small_spaces):
+        # preorder tables, mostly unsaturated: strict parsing rejects those
+        # and lax parsing saturates them
+        rng = random.Random(3131)
+        rejected = {True: 0, False: 0}
+        for space in small_spaces:
+            for _ in range(3):
+                gen = {
+                    x: [list(pair) for pair in random_preorder(rng, space.min_open(x)).pairs()]
+                    for x in space.points
+                }
+                obj = {**serialize_space(space), "gen": gen}
+                for strict in (True, False):
+                    got = outcome(parse_stream, obj, strict)
+                    assert got == outcome(parse_stream_oracle, obj, strict)
+                    rejected[strict] += isinstance(got, tuple)
+        assert rejected[True] > 0 and rejected[False] == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_gen_tables(self, case):
+        obj = malformed(MALFORMED[case])
+        for strict in (True, False):
+            expected = outcome(parse_stream_oracle, obj, strict)
+            assert outcome(parse_stream, obj, strict) == expected
+        assert isinstance(outcome(parse_stream, obj, True), tuple)
+
+
 class TestSpaceAndPrecirculation:
     def test_space_round_trip(self):
         space = directed_circle(2).space
@@ -118,6 +230,18 @@ class TestSpaceAndPrecirculation:
                 continue
             assert back.assign_mask(mask) == fx.pulled.assign_mask(mask)
         assert back.exact is False or back.exact is True
+
+    def test_serialize_precirculation_matches_oracle(self, small_spaces):
+        rng = random.Random(5151)
+        pcs = [random_precirculation(rng, sp, seeds=rng.randint(1, 3)) for sp in small_spaces]
+        pcs += [
+            random_precirculation(rng, directed_square(2, 1).space, seeds=3),
+            chaotic_precirculation(directed_circle(2).space),
+            pathology_fixture().pulled,
+        ]
+        for pc in pcs:
+            expected = canonical_dumps(serialize_precirculation_oracle(pc))
+            assert canonical_dumps(serialize_precirculation(pc)) == expected
 
     def test_dump_refuses_a_bare_circulation(self, tmp_path):
         # a circulation is a precirculation, but its file form is the stream's
@@ -145,6 +269,21 @@ class TestDot:
         # each vertex star contributes colored, labelled edges
         assert 'label="v0"' in text and 'label="v1"' in text
         assert "color=forestgreen" in text and "color=darkorange" in text
+
+    def test_quote_and_backslash_escaped(self):
+        names = ['a"b', "c\\d"]
+        space = space_from_min_opens(names, {'a"b': names, "c\\d": ["c\\d"]})
+        s = Stream(space, cosheafify(chaotic_precirculation(space)))
+        assert stream_to_dot(s) == "\n".join([
+            "digraph stream {",
+            '  "a\\"b";',
+            '  "c\\\\d";',
+            '  "a\\"b" -> "c\\\\d" [style=solid color=black];',
+            '  "a\\"b" -> "c\\\\d" [color=crimson label="a\\"b" fontcolor=crimson];',
+            '  "c\\\\d" -> "a\\"b" [color=crimson label="a\\"b" fontcolor=crimson];',
+            "}",
+            "",
+        ])
 
     def test_empty_dot(self):
         text = stream_to_dot(empty_stream())

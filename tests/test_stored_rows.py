@@ -1,13 +1,15 @@
 """A circulation is stored once, as its saturated generator rows.
 
 Equality and hashing read the space and the rows, ``gen`` is built from the
-rows when first read, and the constructions and strict parsing build their
-results from rows without a Preorder. The public constructor accepts exactly
+rows when first read, and the constructions, stream file reading and writing
+work on rows without a Preorder. The public constructor accepts exactly
 the saturated families. The two constructors that used to go through
 Preorders are compared with those versions, kept in ``conftest`` as oracles.
 """
 
+import contextlib
 import dataclasses
+import io
 import random
 import re
 
@@ -16,6 +18,7 @@ import pytest
 from finstream import (
     Circulation,
     DiagramArrow,
+    Preorder,
     Relation,
     Stream,
     StreamDiagram,
@@ -41,10 +44,18 @@ from finstream import (
     substream,
     transitive_reflexive_closure,
 )
-from finstream import circulation
+from finstream import circulation, cli
 from finstream.corpus import random_precirculation, random_preorder, random_stream
 from finstream.errors import InvalidPreorder
-from finstream.formats import canonical_dumps, parse_stream, serialize_stream
+from finstream.formats import (
+    canonical_dumps,
+    dump,
+    load,
+    parse_stream,
+    serialize_precirculation,
+    serialize_stream,
+    stream_to_dot,
+)
 from finstream.models import interval_endpoint_partition
 
 from conftest import model_streams, specialization_circulation_oracle, stream_from_atlas_oracle
@@ -147,7 +158,10 @@ class TestEveryCirculationIsSaturated:
 
 
 class TestNoPreordersInConstructions:
-    def test_constructions_extract_no_preorder(self, monkeypatch):
+    def test_constructions_extract_no_preorder(self, monkeypatch, tmp_path):
+        # no Preorder is built, embedded or extracted by a construction, by
+        # loading, dumping or exporting a stream file, or by serializing a
+        # precirculation
         interval, circle = directed_interval(2), directed_circle(2)
         diagram = StreamDiagram(
             {"a": interval, "b": interval},
@@ -158,15 +172,22 @@ class TestNoPreordersInConstructions:
         stored = random_precirculation(rng, circle.space, seeds=3)
         pulled = pathology_fixture().pulled
         other = random_stream(rng, circle.space).circ
-        square_file = serialize_stream(directed_square(6, 6))
+        square = directed_square(6, 6)
+        square_file = serialize_stream(square)
+        path, out = str(tmp_path / "square.json"), str(tmp_path / "out")
         calls = []
-        real = circulation._extract_preorder
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(circulation, "_extract_preorder", spy)
+            return call
+
+        for name in ("_extract_preorder", "_embed_rows"):
+            monkeypatch.setattr(circulation, name, spy(name, getattr(circulation, name)))
+        build = spy("Preorder.build", Preorder.build.__func__)
+        monkeypatch.setattr(Preorder, "build", classmethod(build))
         product_stream(interval, circle)
         substream(interval, ["v0", "e1", "v1"])
         quotient_stream(interval, interval_endpoint_partition(2))
@@ -179,6 +200,15 @@ class TestNoPreordersInConstructions:
         cosheafify(pulled)
         specialization_circulation(interval.space)
         parse_stream(square_file)
+        dump(square, path)
+        assert load(path) == square
+        stream_to_dot(square)
+        serialize_precirculation(stored)
+        serialize_precirculation(pulled)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["export", "--input", path, "--output", out]) == 0
+            assert cli.main(["export", "--input", path, "--fmt", "dot", "--output", out]) == 0
+            assert cli.main(["check", "--input", path, "--which", "antisymmetry"]) == 0
         assert calls == []
 
 
