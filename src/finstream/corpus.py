@@ -51,9 +51,8 @@ def random_preorder(rng: random.Random, carrier: Sequence[str]) -> Preorder:
 
 
 def random_space(rng: random.Random, n: int) -> FiniteSpace:
-    pts = point_names(n)
-    p = random_preorder(rng, pts)
-    return FiniteSpace(pts, p.rows)
+    p = random_preorder(rng, point_names(n))
+    return FiniteSpace(p.carrier, p.rows)
 
 
 def random_circulation(rng: random.Random, space: FiniteSpace) -> Circulation:

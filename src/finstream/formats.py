@@ -180,6 +180,8 @@ def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
     stored = {}
     for entry in _require(obj, "assign", list):
         members = frozenset(_point_names(_require(entry, "open"), "field 'open'"))
+        if members in stored:
+            raise FormatError(f"open {sorted(members)!r} is listed twice")
         pairs = _parse_pairs(_require(entry, "pairs", list))
         stored[members] = Preorder.build(members, pairs)
     exact = obj.get("exact", True)

@@ -212,6 +212,30 @@ def _by_unique_name(
     return out
 
 
+def _tuple_rows(
+    factor_rows: Sequence[Sequence[int]], coords: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """The componentwise relation on the given tuples, each tuple given by
+    its coordinate indices: s is in the row of t iff s[i] is in factor i's
+    row of t[i] for every i. Each factor contributes one mask per point, the
+    tuples whose coordinate i lies in that point's row, and a tuple's row is
+    the AND of its coordinates' masks."""
+    ups = []
+    for i, rows in enumerate(factor_rows):
+        select = [0] * len(rows)
+        for t, c in enumerate(coords):
+            select[c[i]] |= 1 << t
+        # the select masks of distinct points are disjoint, so sum is OR
+        ups.append([sum(select[y] for y in iter_bits(row)) for row in rows])
+    out = []
+    for c in coords:
+        row = (1 << len(coords)) - 1
+        for up, x in zip(ups, c):
+            row &= up[x]
+        out.append(row)
+    return tuple(out)
+
+
 def product(factors: Sequence[Relation]) -> Relation:
     """Componentwise relation on the Cartesian product of the carriers.
 
@@ -223,16 +247,9 @@ def product(factors: Sequence[Relation]) -> Relation:
         "product",
     )
     carrier = tuple(sorted(assoc))
-    indices = [tuple(f.index(x) for f, x in zip(factors, assoc[p])) for p in carrier]
-    rows = []
-    for src in indices:
-        row = 0
-        for k, dst in enumerate(indices):
-            if all(f.rows[i] >> j & 1 for f, i, j in zip(factors, src, dst)):
-                row |= 1 << k
-        rows.append(row)
+    coords = [[f.index(x) for f, x in zip(factors, assoc[p])] for p in carrier]
     cls = Preorder if all(isinstance(f, Preorder) for f in factors) else Relation
-    return cls(carrier, tuple(rows))
+    return cls(carrier, _tuple_rows([f.rows for f in factors], coords))
 
 
 def bounded_interval(p: Preorder, x: str, y: str) -> frozenset[str]:
@@ -258,15 +275,7 @@ def _all_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
         for k, (i, j) in enumerate(slots):
             if choice >> k & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            reach = 0
-            for j in iter_bits(rows[i]):
-                reach |= rows[j]
-            if reach & ~rows[i]:
-                ok = False
-                break
-        if ok:
+        if closure_rows(rows, n) == tuple(rows):
             out.append(tuple(rows))
     return tuple(out)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import gather_rows
+from ._kernels import closure_rows, gather_rows
 from .errors import (
     InvalidPartition,
     MissingPoint,
@@ -23,7 +23,7 @@ from .errors import (
     StreamError,
     UnknownPoint,
 )
-from .relations import Preorder, _by_unique_name, iter_bits, tuple_point
+from .relations import Preorder, _by_unique_name, _tuple_rows, iter_bits, tuple_point
 
 
 @dataclass(frozen=True)
@@ -216,26 +216,14 @@ def _tuple_space(
     """The tuples as a subspace of the factors' product, and each point's
     tuple by its name (:func:`tuple_point`; a single factor keeps its names,
     and a collision raises a StreamError labelled ``what``). The minimal open
-    of t, the tuples s with s[i] in min_open(t[i]) for every i, is the AND
-    over coordinates of one mask per (coordinate, point)."""
+    of t is the tuples s with s[i] in min_open(t[i]) for every i
+    (:func:`relations._tuple_rows`)."""
     single = len(factors) == 1
     assoc = _by_unique_name(((c[0] if single else tuple_point(*c), c) for c in tuples), what)
     points = tuple(sorted(assoc))
     coords = [[sp.index(x) for sp, x in zip(factors, assoc[p])] for p in points]
-    ups = []
-    for i, sp in enumerate(factors):
-        select = [0] * sp.n
-        for t, c in enumerate(coords):
-            select[c[i]] |= 1 << t
-        # the select masks of distinct points are disjoint, so sum is OR
-        ups.append([sum(select[y] for y in iter_bits(row)) for row in sp.min_open_rows])
-    rows = []
-    for c in coords:
-        row = (1 << len(points)) - 1
-        for up, x in zip(ups, c):
-            row &= up[x]
-        rows.append(row)
-    return FiniteSpace(points, tuple(rows)), assoc
+    rows = _tuple_rows([sp.min_open_rows for sp in factors], coords)
+    return FiniteSpace(points, rows), assoc
 
 
 def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:
@@ -258,18 +246,22 @@ def coproduct_space(
         raise StreamError("coproduct tags repeat")
     if len(family) == 1:
         return family[0], [{p: p for p in family[0].points}]
-    _by_unique_name(
+    assoc = _by_unique_name(
         ((f"{tag}:{p}", (tag, p)) for tag, space in zip(tags, family) for p in space.points),
         "coproduct",
     )
-    table: dict[str, set[str]] = {}
+    points = tuple(sorted(assoc))
+    index = {name: k for k, name in enumerate(points)}
+    rows = [0] * len(points)
     inclusions = []
     for tag, space in zip(tags, family):
         inc = {p: f"{tag}:{p}" for p in space.points}
         inclusions.append(inc)
-        for p in space.points:
-            table[inc[p]] = {inc[q] for q in space.min_open(p)}
-    return space_from_min_opens(table.keys(), table), inclusions
+        pos = [index[inc[p]] for p in space.points]
+        for i, row in enumerate(space.min_open_rows):
+            # the positions of distinct points differ, so sum is OR
+            rows[pos[i]] = sum(1 << pos[j] for j in iter_bits(row))
+    return FiniteSpace(points, tuple(rows)), inclusions
 
 
 def quotient_space(
@@ -278,9 +270,9 @@ def quotient_space(
     """Quotient topology for a partition of the points.
 
     Classes are named by their sorted first element. A set of classes is open
-    iff its preimage is open; the minimal open of a class is computed as the
-    smallest saturated open containing it (alternate closing under minimal
-    opens and under saturation until stable).
+    iff its preimage is open, so the specialization preorder of the quotient
+    is the transitive-reflexive closure of the image of the space's: the
+    minimal open of a class is its row in the closure of the image relation.
     """
     classes = [tuple(sorted(set(c))) for c in partition]
     if any(not c for c in classes):
@@ -296,26 +288,15 @@ def quotient_space(
     if len(seen) != space.n:
         missing = sorted(set(space.points) - set(seen))
         raise InvalidPartition(f"partition misses points {missing!r}")
-    class_mask = {c[0]: space.mask_of(c) for c in classes}
     projection = {p: seen[p] for p in space.points}
-
-    def saturate_open(mask: int) -> int:
-        while True:
-            grown = mask
-            for i in iter_bits(mask):
-                grown |= space.min_open_rows[i]
-            for name, cmask in class_mask.items():
-                if grown & cmask:
-                    grown |= cmask
-            if grown == mask:
-                return mask
-            mask = grown
-
-    table = {}
-    for name, cmask in class_mask.items():
-        sat = saturate_open(cmask)
-        table[name] = {projection[p] for p in space.set_of(sat)}
-    return space_from_min_opens(table.keys(), table), projection
+    names = tuple(sorted(c[0] for c in classes))
+    number = {name: k for k, name in enumerate(names)}
+    cls = [number[seen[p]] for p in space.points]
+    rows = [0] * len(names)
+    for i, row in enumerate(space.min_open_rows):
+        for j in iter_bits(row):
+            rows[cls[i]] |= 1 << cls[j]
+    return FiniteSpace(names, closure_rows(rows, len(names))), projection
 
 
 @lru_cache(maxsize=4096)

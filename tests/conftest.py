@@ -18,6 +18,7 @@ from finstream import (
     FuncPrecirculation,
     Precirculation,
     Preorder,
+    Relation,
     StoredPrecirculation,
     Stream,
     StreamMap,
@@ -46,7 +47,7 @@ from finstream import (
 )
 from finstream._kernels import closure_rows
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
-from finstream.errors import FormatError, NotRelated, UnknownPoint
+from finstream.errors import FormatError, InvalidPartition, NotRelated, UnknownPoint
 from finstream.formats import (
     PRECIRCULATION_FORMAT,
     STREAM_FORMAT,
@@ -189,6 +190,77 @@ def product_oracle(s, t):
         return Preorder.build(members, related)
 
     return Stream(space, cosheafify(FuncPrecirculation(space, assign)))
+
+
+def quotient_space_oracle(space, partition):
+    """quotient_space by a fixed point per class: the minimal open of a class
+    is the smallest open that is a union of classes and contains it, grown
+    alternately under minimal opens and under classes until stable, then
+    validated through space_from_min_opens. The same errors in the same
+    order."""
+    classes = [tuple(sorted(set(c))) for c in partition]
+    if any(not c for c in classes):
+        raise InvalidPartition("empty class")
+    seen = {}
+    for c in classes:
+        for p in c:
+            if p not in space:
+                raise UnknownPoint(f"partition names unknown point {p!r}")
+            if p in seen:
+                raise InvalidPartition(f"{p!r} occurs in more than one class")
+            seen[p] = c[0]
+    if len(seen) != space.n:
+        missing = sorted(set(space.points) - set(seen))
+        raise InvalidPartition(f"partition misses points {missing!r}")
+    class_mask = {c[0]: space.mask_of(c) for c in classes}
+    projection = {p: seen[p] for p in space.points}
+
+    def saturate_open(mask):
+        while True:
+            grown = mask
+            for i in iter_bits(mask):
+                grown |= space.min_open_rows[i]
+            for cmask in class_mask.values():
+                if grown & cmask:
+                    grown |= cmask
+            if grown == mask:
+                return mask
+            mask = grown
+
+    table = {
+        name: {projection[p] for p in space.set_of(saturate_open(cmask))}
+        for name, cmask in class_mask.items()
+    }
+    return space_from_min_opens(table.keys(), table), projection
+
+
+def coproduct_space_oracle(family, tags):
+    """coproduct_space (two or more summands) through the tagged name table
+    and space_from_min_opens."""
+    table = {}
+    inclusions = []
+    for tag, space in zip(tags, family):
+        inc = {p: f"{tag}:{p}" for p in space.points}
+        inclusions.append(inc)
+        for p in space.points:
+            table[inc[p]] = {inc[q] for q in space.min_open(p)}
+    return space_from_min_opens(table.keys(), table), inclusions
+
+
+def relation_product_oracle(factors):
+    """relations.product by testing every pair of tuples coordinatewise."""
+    tuples = list(itertools.product(*(f.carrier for f in factors)))
+    carrier = tuple(sorted(tuple_point(*t) for t in tuples))
+    parts = {tuple_point(*t): t for t in tuples}
+    rows = []
+    for p in carrier:
+        row = 0
+        for k, q in enumerate(carrier):
+            if all(f.has(x, y) for f, x, y in zip(factors, parts[p], parts[q])):
+                row |= 1 << k
+        rows.append(row)
+    cls = Preorder if all(isinstance(f, Preorder) for f in factors) else Relation
+    return cls(carrier, tuple(rows))
 
 
 def specialization_circulation_oracle(space):

@@ -9,6 +9,7 @@ from finstream.errors import StreamError
 from finstream.formats import (
     canonical_dumps,
     load,
+    parse_stream,
     serialize_precirculation,
     serialize_space,
     serialize_stream,
@@ -158,10 +159,8 @@ class TestCheck:
         monkeypatch.setattr("finstream.circulation.all_opens", no_enumeration)
         code, out, _ = run(capsys, "check", "--input", str(path), "--which", "circulation")
         assert code == 0 and json.loads(out)["ok"]
-        code, _, err = run(
-            capsys, "combine", "join", "--input", str(path), "--check-universal",
-        )
-        assert code == 0 and json.loads(err)["universal_spot_checks"] == "passed"
+        code, out, _ = run(capsys, "combine", "join", "--input", str(path))
+        assert code == 0 and parse_stream(json.loads(out)) == directed_interval(14)
 
 
 class TestQuery:
@@ -240,11 +239,19 @@ class TestCombine:
         prod = tmp_path / "prod.json"
         code, _, _ = run(
             capsys, "combine", "product", "--input", str(a), "--input", str(a),
-            "--output", str(prod), "--check-universal",
+            "--output", str(prod),
         )
         assert code == 0
         stream = load(str(prod))
         assert stream.space.n == 9
+
+    def test_check_universal_flag_is_gone(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        write(a, serialize_stream(directed_interval(1)))
+        with pytest.raises(SystemExit) as caught:
+            main(["combine", "join", "--input", str(a), "--check-universal"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --check-universal" in capsys.readouterr().err
 
     def test_quotient_interval_to_circle(self, tmp_path, capsys):
         a = tmp_path / "i2.json"
@@ -349,9 +356,10 @@ def malformed_cases():
     name or argument (a float or a boolean is not an integer), truncated
     diagram JSON, a diagram arrow missing a field, a diagram or atlas of the
     wrong shape, a short generator pair, a precirculation whose ``exact`` is
-    not a boolean, point names, point lists and point maps nested one level
-    too deep, JSON nested deeper than the parser's recursion limit, and
-    products, limits and colimits whose built point names collide."""
+    not a boolean or that lists an open twice, point names, point lists and
+    point maps nested one level too deep, JSON nested deeper than the
+    parser's recursion limit, and products, limits and colimits whose built
+    point names collide."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
@@ -403,6 +411,8 @@ def malformed_cases():
         cases.append(
             pytest.param(["check", "--input"], json.dumps({**precirculation, "exact": exact}), id=key)
         )
+    listed_twice = {**precirculation, "assign": precirculation["assign"] + precirculation["assign"][-1:]}
+    cases.append(pytest.param(["check", "--input"], json.dumps(listed_twice), id="open-listed-twice"))
     precirculation["assign"][0]["open"] = [["e1"]]
     cases.append(pytest.param(["check", "--input"], json.dumps(precirculation), id="open-nested"))
     cases.append(pytest.param(["check", "--input"], "[" * 10_000, id="too-deep"))

@@ -24,11 +24,18 @@ from finstream import (
     quotient_stream,
     space_from_min_opens,
     specialization_circulation,
+    specialization_preorder,
     subspace,
     substream,
     trivial_circulation,
 )
-from finstream.corpus import random_precirculation, random_preorder
+from finstream.corpus import (
+    point_names,
+    random_precirculation,
+    random_preorder,
+    random_space,
+    random_stream,
+)
 from finstream.errors import FormatError, InvalidPreorder, StreamError
 from finstream.formats import (
     canonical_dumps,
@@ -220,6 +227,15 @@ class TestSpaceAndPrecirculation:
         obj = serialize_space(space)
         assert parse_space(obj) == space
 
+    @pytest.mark.parametrize("n", range(11, 15))
+    def test_random_space_and_stream_round_trip(self, n):
+        # point_names(n) is not in name order from n = 11 ("p10" < "p2")
+        space = random_space(random.Random(n), n)
+        assert specialization_preorder(space) == random_preorder(random.Random(n), point_names(n))
+        assert parse_space(serialize_space(space)) == space
+        s = random_stream(random.Random(n), space)
+        assert parse_stream(serialize_stream(s)) == s
+
     def test_precirculation_round_trip(self):
         fx = pathology_fixture()
         obj = serialize_precirculation(fx.pulled)
@@ -230,6 +246,15 @@ class TestSpaceAndPrecirculation:
                 continue
             assert back.assign_mask(mask) == fx.pulled.assign_mask(mask)
         assert back.exact is False or back.exact is True
+
+    def test_open_listed_twice_is_refused(self):
+        # a second entry for the whole space, with another order, used to win
+        obj = serialize_precirculation(chaotic_precirculation(directed_interval(1).space))
+        whole = obj["points"]
+        obj["assign"].append({"open": whole[::-1], "pairs": [[p, p] for p in whole]})
+        with pytest.raises(FormatError) as caught:
+            parse_precirculation(obj)
+        assert str(caught.value) == f"open {whole!r} is listed twice"
 
     def test_serialize_precirculation_matches_oracle(self, small_spaces):
         rng = random.Random(5151)

@@ -18,7 +18,7 @@ from finstream import (
 )
 from finstream.errors import InvalidPreorder, StreamError, UnknownPoint
 
-from conftest import closure_oracle, convex_oracle
+from conftest import closure_oracle, convex_oracle, relation_product_oracle
 
 POINTS3 = ("a", "b", "c")
 
@@ -117,6 +117,22 @@ class TestJoin:
 
 
 class TestProduct:
+    def test_matches_pairwise_oracle(self):
+        # 0 to 3 factors, each a random relation (not necessarily reflexive)
+        # or its closure, on carriers of 0 to 3 points
+        rng = random.Random(1313)
+        for _ in range(300):
+            factors = []
+            for k in range(rng.randint(0, 3)):
+                points = [f"{name}{k}" for name in "abc"[: rng.randint(0, 3)]]
+                pairs = [(x, y) for x in points for y in points if rng.random() < 0.4]
+                factor = rel(points, pairs)
+                if rng.random() < 0.5:
+                    factor = transitive_reflexive_closure(factor)
+                factors.append(factor)
+            got, expected = product(factors), relation_product_oracle(factors)
+            assert got == expected and type(got) is type(expected)
+
     def test_colliding_names_raise(self):
         # ("a", "b,c") and ("a,b", "c") would both be named "(a,b,c)"
         message = "product point name '(a,b,c)' stands for both ('a', 'b,c') and ('a,b', 'c')"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,10 +18,12 @@ from finstream import (
     specialization_preorder,
     subspace,
     tuple_point,
-    directed_interval,
+    boundary_square,
     directed_circle,
+    directed_interval,
+    directed_square,
 )
-from finstream.corpus import all_spaces, spaces_upto
+from finstream.corpus import all_spaces, random_partition, spaces_upto
 from finstream.errors import (
     InvalidPartition,
     MissingPoint,
@@ -30,7 +33,25 @@ from finstream.errors import (
 )
 from finstream.spaces import open_supersets
 
-from conftest import connected_oracle, continuity_oracle, open_sets
+from conftest import (
+    connected_oracle,
+    continuity_oracle,
+    coproduct_space_oracle,
+    open_sets,
+    quotient_space_oracle,
+)
+
+
+def set_partitions(points):
+    """Every partition of the points, as lists of classes."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for part in set_partitions(rest):
+        yield [[first], *part]
+        for k in range(len(part)):
+            yield part[:k] + [[first, *part[k]]] + part[k + 1:]
 
 
 def sierpinski():
@@ -186,24 +207,46 @@ class TestSubspaceProductQuotient:
         assert projection["v2"] == "v0"
 
     def test_quotient_opens_are_preimage_opens(self, tiny_spaces):
-        # finest topology making the projection continuous
+        # finest topology making the projection continuous: a set of classes
+        # is open iff its preimage is open, for every partition
         for space in tiny_spaces:
-            if space.n == 0:
-                continue
-            points = list(space.points)
-            partition = [points[:1], points[1:]] if space.n > 1 else [points]
-            partition = [c for c in partition if c]
-            quotient, projection = quotient_space(space, partition)
-            assert is_continuous(projection, space, quotient)
-            for u in open_sets(quotient):
-                pre = {p for p in space.points if projection[p] in u}
-                assert is_open(space, pre)
-            # and every saturated open descends
-            for u in open_sets(space):
-                image = {projection[p] for p in u}
-                pre = {p for p in space.points if projection[p] in image}
-                if pre == set(u):
-                    assert is_open(quotient, image)
+            for partition in set_partitions(space.points):
+                quotient, projection = quotient_space(space, partition)
+                assert (quotient, projection) == quotient_space_oracle(space, partition)
+                assert is_continuous(projection, space, quotient)
+                for r in range(quotient.n + 1):
+                    for classes in itertools.combinations(quotient.points, r):
+                        pre = {p for p in space.points if projection[p] in classes}
+                        assert is_open(quotient, classes) == is_open(space, pre)
+
+    def test_quotient_matches_oracle_on_four_points(self):
+        for space in all_spaces(4):
+            for partition in set_partitions(space.points):
+                assert quotient_space(space, partition) == quotient_space_oracle(space, partition)
+
+    def test_quotient_matches_oracle_on_models(self):
+        rng = random.Random(4242)
+        models = [
+            directed_square(3, 3), boundary_square(3), directed_interval(10), directed_circle(8),
+        ]
+        for s in models:
+            for _ in range(200):
+                partition = random_partition(rng, rng.sample(s.space.points, s.space.n))
+                expected = quotient_space_oracle(s.space, partition)
+                assert quotient_space(s.space, partition) == expected, partition
+
+    def test_quotient_errors_match_oracle(self):
+        space = discrete("xyz")
+        bad = [
+            [["x"]], [["x", "y"], ["y"]], [["x", "y"], []], [["q"], []],
+            [["x", "q"], ["y"], ["z"]], [["x"], ["y", "x"], ["w"]],
+        ]
+        for partition in bad:
+            with pytest.raises(StreamError) as ours:
+                quotient_space(space, partition)
+            with pytest.raises(StreamError) as oracle:
+                quotient_space_oracle(space, partition)
+            assert (type(ours.value), str(ours.value)) == (type(oracle.value), str(oracle.value))
 
     def test_quotient_rejects_bad_partitions(self):
         space = discrete("xy")
@@ -219,6 +262,18 @@ class TestSubspaceProductQuotient:
         assert space.n == 3
         assert space.min_open(inclusions[0]["a"]) == {"0:a", "0:b"}
         assert is_open(space, {"1:z"})
+
+    def test_coproduct_matches_name_table(self, tiny_spaces):
+        # "a-:x" sorts before "a:x", so the summands' points interleave
+        for left in tiny_spaces:
+            for right in tiny_spaces[::3]:
+                for tags in (["a", "a-"], ["0", "1"]):
+                    family = [left, right]
+                    expected = coproduct_space_oracle(family, tags)
+                    assert coproduct_space(family, tags) == expected
+        family = tiny_spaces[-3:]
+        tags = ["a-", "a", "b"]
+        assert coproduct_space(family, tags) == coproduct_space_oracle(family, tags)
 
     def test_product_matches_definition(self, tiny_spaces):
         # min_open((x,y)) is min_open(x) x min_open(y), on tuple_point names
