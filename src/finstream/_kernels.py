@@ -3,7 +3,7 @@
 BACKEND = "python"
 
 
-def closure_rows(rows, n):
+def closure_rows(rows, n, positions=None):
     """Close a relation given as successor bitmasks, one int row per point.
 
     Returns a tuple of rows containing the diagonal and closed under
@@ -14,11 +14,20 @@ def closure_rows(rows, n):
     loops: a diagonal-only row never changes and adds nothing as a pivot.
     A relation that touches a few points of a large carrier therefore costs
     about the square of those few, not of the carrier.
+
+    ``positions`` (default every point) names the rows to close: only they
+    get their diagonal, are scanned for activity and serve as pivots, and
+    every other row is returned as given. When the rows off ``positions``
+    are zero, the result is the full closure with those rows zeroed (a
+    pivot off ``positions`` would only add its own diagonal bit), so a
+    closure on a small open of a large space costs the open, not the space.
     """
     out = list(rows)
-    for i in range(n):
+    if positions is None:
+        positions = range(n)
+    for i in positions:
         out[i] |= 1 << i
-    active = [i for i in range(n) if out[i] != 1 << i]
+    active = [i for i in positions if out[i] != 1 << i]
     for k in active:
         rk = out[k]
         bit = 1 << k

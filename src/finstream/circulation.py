@@ -79,14 +79,13 @@ def _extract_preorder(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -
     return Preorder(carrier, tuple(rows))
 
 
-def _close_on_mask(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -> tuple[int, ...]:
-    """Transitive-reflexive closure restricted to the mask, in full indexing.
-    The rows must be zero off the mask (see :func:`_join_on`)."""
-    closed = closure_rows(full_rows, space.n)
-    out = [0] * space.n
-    for i in iter_bits(mask):
-        out[i] = closed[i]
-    return tuple(out)
+def _close_on_mask(
+    space: FiniteSpace, positions: Sequence[int], rows: Sequence[int]
+) -> tuple[int, ...]:
+    """Transitive-reflexive closure on an open, in full indexing, given the
+    open's positions. Only those rows are closed; the rows must be zero off
+    them (see :func:`_join_on`) and stay zero."""
+    return closure_rows(rows, space.n, positions)
 
 
 def _join_on(
@@ -96,15 +95,16 @@ def _join_on(
     the members' full-space rows.
 
     Invariant: every member is zero off the mask, and its rows on the mask
-    have no bits outside it. Only the mask's rows of each member are read,
-    so a member costs the open's width, not the space's; a member that broke
-    the invariant would lose the paths that leave the open."""
+    have no bits outside it. Only the mask's rows of each member are read
+    and only they are closed, so a member and the closure cost the open's
+    width, not the space's; a member that broke the invariant would lose
+    the paths that leave the open."""
     positions = list(iter_bits(mask))
     rows = [0] * space.n
     for member in members:
         for k in positions:
             rows[k] |= member[k]
-    return _close_on_mask(space, mask, rows)
+    return _close_on_mask(space, positions, rows)
 
 
 class Precirculation:

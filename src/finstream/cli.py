@@ -42,8 +42,8 @@ from .formats import (
     load,
     parse_space,
     parse_stream,
-    serialize_stream,
     stream_to_dot,
+    stream_to_json,
 )
 from .relations import Preorder, Relation
 from .spaces import FiniteSpace, require_open_mask
@@ -123,7 +123,7 @@ def _build_from_spec(obj: dict) -> Stream:
 
 def cmd_build(args) -> int:
     stream = _build_from_spec(_read_object(args.input))
-    _write_output(canonical_dumps(serialize_stream(stream)), args.output)
+    _write_output(stream_to_json(stream), args.output)
     return 0
 
 
@@ -310,21 +310,30 @@ def cmd_combine(args) -> int:
             raise FormatError(f"{op} needs --diagram")
         diagram = _load_diagram(args.diagram)
         stream, _ = (limit if op == "limit" else colimit)(diagram)
-    _write_output(canonical_dumps(serialize_stream(stream)), args.output)
+    _write_output(stream_to_json(stream), args.output)
     return 0
 
 
 def cmd_export(args) -> int:
     stream = _load_stream(args.input)
     if args.fmt == "json":
-        _write_output(canonical_dumps(serialize_stream(stream)), args.output)
+        _write_output(stream_to_json(stream), args.output)
     else:
         _write_output(stream_to_dot(stream), args.output)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (an unknown option, a missing argument, a bad choice)
+    is malformed input like any other: one ``error:`` line, exit 2.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finstream",
         description="Build, combine, and verify finite streams.",
     )

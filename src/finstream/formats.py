@@ -4,11 +4,18 @@ Canonical form: UTF-8 JSON with sorted keys, points as strings, opens as
 sorted point lists, graphs as sorted pair lists (reflexive pairs included),
 two-space indent, trailing newline. Serializing a parsed canonical file
 reproduces it byte for byte.
+
+Stream files are read into generator rows and written straight from them:
+``stream_to_json`` emits the text ``canonical_dumps(serialize_stream(s))``
+would, without the dict or the pure-Python indenting encoder. The dict form
+stays for diagrams, which embed streams, and ``canonical_dumps`` for
+reports, spaces and precirculations.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from .circulation import (
@@ -62,6 +69,49 @@ def serialize_stream(s: Stream) -> dict:
         **_space_body(space),
         "gen": {x: _row_pairs(space.points, mo, rows) for x, mo, rows in gen},
     }
+
+
+def stream_to_json(s: Stream) -> str:
+    """The canonical text of ``serialize_stream(s)``, written straight from
+    the generator rows.
+
+    Each point name is encoded once, with the string encoder ``json.dumps``
+    uses under ``ensure_ascii=False``, and indented once per depth it sits at;
+    every pair block and minimal-open list is then one ``str.join``. Keys
+    come out sorted because the points are sorted. A value is a preorder
+    on its minimal open, so no pair list or minimal-open list is empty.
+    """
+    space = s.space
+    enc = [encode_basestring(p) for p in space.points]
+    at4 = ["    " + e for e in enc]
+    at6 = ["      " + e for e in enc]
+    at8 = ["        " + e for e in enc]
+    # a's pairs (a, b), (a, c) are head[a] + mid[a].join([b, c]) + "\n      ]"
+    head = ["      [\n" + e + ",\n" for e in at8]
+    mid = ["\n      ],\n" + h for h in head]
+    gen = []
+    min_open = []
+    for key, mo, rows in zip(at4, space.min_open_rows, s.circ._gen_rows):
+        pairs = ",\n".join([
+            head[a] + mid[a].join([at8[b] for b in iter_bits(rows[a])]) + "\n      ]"
+            for a in iter_bits(mo)
+        ])
+        gen.append(key + ": [\n" + pairs + "\n    ]")
+        min_open.append(key + ": [\n" + ",\n".join([at6[b] for b in iter_bits(mo)]) + "\n    ]")
+    if not enc:
+        return (
+            '{\n  "format": "' + STREAM_FORMAT + '",\n  "gen": {},\n'
+            '  "min_open": {},\n  "points": []\n}\n'
+        )
+    return (
+        '{\n  "format": "' + STREAM_FORMAT + '",\n  "gen": {\n'
+        + ",\n".join(gen)
+        + '\n  },\n  "min_open": {\n'
+        + ",\n".join(min_open)
+        + '\n  },\n  "points": [\n'
+        + ",\n".join(at4)
+        + "\n  ]\n}\n"
+    )
 
 
 def serialize_precirculation(pc: Precirculation) -> dict:
@@ -223,15 +273,15 @@ def load(path: str) -> FiniteSpace | Stream | StoredPrecirculation:
 
 def dump(value, path: str) -> None:
     if isinstance(value, Stream):
-        obj = serialize_stream(value)
+        text = stream_to_json(value)
     elif isinstance(value, FiniteSpace):
-        obj = serialize_space(value)
+        text = canonical_dumps(serialize_space(value))
     elif isinstance(value, Precirculation) and not isinstance(value, Circulation):
-        obj = serialize_precirculation(value)
+        text = canonical_dumps(serialize_precirculation(value))
     else:
         raise FormatError(f"cannot serialize {type(value).__name__}")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps(obj))
+        handle.write(text)
 
 
 _PALETTE = (

@@ -476,9 +476,9 @@ class TestValueMemo:
     def test_view_is_the_one_value_memo(self, monkeypatch):
         closures = []
 
-        def counting(rows, n):
+        def counting(rows, n, positions=None):
             closures.append(n)
-            return closure_rows(rows, n)
+            return closure_rows(rows, n, positions)
 
         s = directed_interval(3)
         expected = s.underlying()

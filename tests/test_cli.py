@@ -503,6 +503,31 @@ def test_wrong_input_count_exits_2(tmp_path, capsys, op, count, extra):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["combine", "join", "--input", "<in>", "--bogus"], id="unknown-option"),
+    pytest.param([], id="missing-command"),
+    pytest.param(["export"], id="missing-input"),
+    pytest.param(["export", "--input", "<in>", "--fmt", "svg"], id="bad-fmt"),
+    pytest.param(["check", "--input", "<in>", "--which", "cycles"], id="bad-which"),
+])
+def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv):
+    stream = tmp_path / "i1.json"
+    write(stream, serialize_stream(directed_interval(1)))
+    with pytest.raises(SystemExit) as caught:
+        main([str(stream) if arg == "<in>" else arg for arg in argv])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["export", "--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: finstream export")
+
+
 @pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "output-directory"])
 def test_unreadable_path_exits_2(tmp_path, capsys, case):
     spec = tmp_path / "spec.json"

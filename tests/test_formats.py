@@ -6,6 +6,7 @@ import pytest
 
 from finstream import (
     DiagramArrow,
+    FiniteSpace,
     Stream,
     StreamDiagram,
     chaotic_precirculation,
@@ -48,6 +49,7 @@ from finstream.formats import (
     serialize_space,
     serialize_stream,
     stream_to_dot,
+    stream_to_json,
 )
 from finstream.models import interval_endpoint_partition, pathology_fixture
 
@@ -79,6 +81,39 @@ def construction_results():
         Stream(circle.space, cosheafify(chaotic_precirculation(circle.space))),
         Stream(interval.space, specialization_circulation(interval.space)),
     ]
+
+
+# Names the writer must escape as json.dumps does under ensure_ascii=False:
+# quote, backslash, control characters, DEL, non-ASCII and astral text.
+AWKWARD_NAMES = ('a"b', "c\\d", "\u00e9t\u00e9", "x\ny", "\x7f", "tab\there", "\U0001f600", "p0")
+
+
+def awkward_streams(rng, count):
+    """Random streams on random spaces whose points carry awkward names."""
+    streams = []
+    for _ in range(count):
+        names = rng.sample(AWKWARD_NAMES, rng.randint(1, len(AWKWARD_NAMES)))
+        p = random_preorder(rng, names)
+        streams.append(random_stream(rng, FiniteSpace(p.carrier, p.rows)))
+    return streams
+
+
+class TestStreamWriter:
+    def test_matches_canonical_dumps(self, corpus_streams):
+        rng = random.Random(14)
+        streams = (
+            model_streams() + corpus_streams + construction_results() + awkward_streams(rng, 40)
+        )
+        for s in streams:
+            text = stream_to_json(s)
+            assert text == canonical_dumps(serialize_stream(s))
+            assert parse_stream(json.loads(text)) == s
+
+    def test_dump_writes_the_stream_text(self, tmp_path):
+        s = awkward_streams(random.Random(3), 1)[0]
+        path = tmp_path / "s.json"
+        dump(s, str(path))
+        assert path.read_text(encoding="utf-8") == stream_to_json(s)
 
 
 class TestStreamRoundTrip:

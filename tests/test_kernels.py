@@ -46,6 +46,35 @@ def test_python_kernel_matches_oracle():
             assert_matches_oracle(sparse_rows(rng, n, active), n)
 
 
+def reachable(rows, i):
+    """Row i of the full reflexive-transitive closure, by graph search."""
+    seen = 1 << i
+    todo = [i]
+    while todo:
+        new = rows[todo.pop()] & ~seen
+        seen |= new
+        todo.extend(j for j in range(new.bit_length()) if new >> j & 1)
+    return seen
+
+
+def test_closure_on_positions_matches_full_closure():
+    """Rows supported on a position set close there as the full closure
+    does, with the rows off the set left zero."""
+    rng = random.Random(3)
+    for n in range(71):
+        for _ in range(6):
+            k = rng.choice((0, n, rng.randint(0, n)))
+            positions = sorted(rng.sample(range(n), k))
+            # successors inside the set, as on an open; every other draw
+            # also lets them leave it
+            targets = positions if rng.random() < 0.5 else range(n)
+            rows = [0] * n
+            for i in positions:
+                rows[i] = sum(1 << j for j in targets if rng.random() < 2 / (k + 1))
+            expected = tuple(reachable(rows, i) if i in positions else 0 for i in range(n))
+            assert closure_rows(rows, n, positions) == expected
+
+
 def test_selected_backend_is_exported():
     assert BACKEND == finstream.kernel_backend == "python"
     assert closure_rows([0b10, 0b00], 2) == (0b11, 0b10)
