@@ -83,11 +83,12 @@ def is_stream_map(
     return StreamMapCheck(True, True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StreamMap:
     """A verified stream map; public construction re-checks the definition
-    (legs that universal constructions return are stream maps by
-    construction and skip it, see :meth:`_by_construction`)."""
+    (identities, composites and the legs that universal constructions return
+    are stream maps by construction and skip it, see
+    :meth:`_by_construction`)."""
 
     source: Stream
     target: Stream
@@ -104,9 +105,9 @@ class StreamMap:
     def _by_construction(
         cls, source: Stream, target: Stream, mapping: dict[str, str]
     ) -> "StreamMap":
-        """A leg that a universal construction makes a stream map by
-        definition; skips the re-check (the test suite runs
-        :func:`is_stream_map` on every such leg)."""
+        """A map that is a stream map by definition (an identity, a
+        composite, a leg of a universal construction); skips the re-check
+        (the test suite runs :func:`is_stream_map` on every such map)."""
         leg = object.__new__(cls)
         object.__setattr__(leg, "source", source)
         object.__setattr__(leg, "target", target)
@@ -116,29 +117,18 @@ class StreamMap:
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StreamMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, tuple(sorted(self.mapping.items()))))
-
 
 def identity_map(s: Stream) -> StreamMap:
-    return StreamMap(s, s, {p: p for p in s.space.points})
+    return StreamMap._by_construction(s, s, {p: p for p in s.space.points})
 
 
 def compose(late: StreamMap, early: StreamMap) -> StreamMap:
+    """The composite on the source's points (a verified map may hold keys
+    outside its source); a composite of stream maps is one."""
     if early.target != late.source:
         raise IllTypedDiagram("composition endpoints do not match")
-    return StreamMap(
-        early.source, late.target, {p: late.mapping[q] for p, q in early.mapping.items()}
-    )
+    mapping = {p: late.mapping[early.mapping[p]] for p in early.source.space.points}
+    return StreamMap._by_construction(early.source, late.target, mapping)
 
 
 def final_structure(

@@ -244,72 +244,76 @@ def _load_space(path: str) -> FiniteSpace:
     raise FormatError(f"{path}: expected a space or stream file")
 
 
-# --input files each combine operation reads; join reads one or more.
-INPUT_COUNTS = {
-    "product": 2,
-    "quotient": 1,
-    "substream": 1,
-    "pushforward": 1,
-    "pullback-cosheafify": 1,
-    "limit": 0,
-    "colimit": 0,
+def _quotient(args, inputs: list[Stream]) -> Stream:
+    if args.partition is None:
+        raise FormatError(f"{args.operation} needs --partition")
+    partition = _parse_json_arg(args.partition, "--partition")
+    if not isinstance(partition, list):
+        raise FormatError("--partition must be a list of classes")
+    for cls in partition:
+        _point_names(cls, "a --partition class")
+    return quotient_stream(inputs[0], partition)[0]
+
+
+def _substream(args, inputs: list[Stream]) -> Stream:
+    if args.points is None:
+        raise FormatError(f"{args.operation} needs --points")
+    points = _point_names(_parse_json_arg(args.points, "--points"), "--points")
+    return substream(inputs[0], points)[0]
+
+
+def _join(args, inputs: list[Stream]) -> Stream:
+    return Stream(inputs[0].space, join_circulations([s.circ for s in inputs]))
+
+
+def _space_and_map(args) -> tuple[FiniteSpace, dict[str, str]]:
+    """The --space file and the --map along which a stream is moved."""
+    if args.space is None or args.map is None:
+        raise FormatError(f"{args.operation} needs --space and --map")
+    space = _load_space(args.space)
+    return space, _point_map(_parse_json_arg(args.map, "--map"), "--map")
+
+
+def _pushforward(args, inputs: list[Stream]) -> Stream:
+    target, mapping = _space_and_map(args)
+    return final_structure(target, [(inputs[0], mapping)])[0]
+
+
+def _pullback(args, inputs: list[Stream]) -> Stream:
+    source, mapping = _space_and_map(args)
+    return initial_structure(source, [(mapping, inputs[0])])[0]
+
+
+def _diagram(args) -> StreamDiagram:
+    if args.diagram is None:
+        raise FormatError(f"{args.operation} needs --diagram")
+    return _load_diagram(args.diagram)
+
+
+# Each combine operation: the number of --input files it reads (None: one
+# or more) and its builder, called with the arguments and the loaded inputs.
+COMBINE = {
+    "product": (2, lambda args, inputs: product_stream(*inputs)[0]),
+    "quotient": (1, _quotient),
+    "substream": (1, _substream),
+    "join": (None, _join),
+    "pushforward": (1, _pushforward),
+    "pullback-cosheafify": (1, _pullback),
+    "limit": (0, lambda args, inputs: limit(_diagram(args))[0]),
+    "colimit": (0, lambda args, inputs: colimit(_diagram(args))[0]),
 }
 
 
-def _check_input_count(op: str, count: int) -> None:
-    """Extra or missing --input files are an error, never silently ignored."""
-    if op == "join":
-        if count < 1:
-            raise FormatError("join needs at least 1 --input file")
-    elif op in INPUT_COUNTS and count != INPUT_COUNTS[op]:
-        raise FormatError(f"{op} takes {INPUT_COUNTS[op]} --input file(s), got {count}")
-
-
 def cmd_combine(args) -> int:
-    op = args.operation
-    _check_input_count(op, len(args.input))
-    if op == "product":
-        left, right = (_load_stream(p) for p in args.input)
-        stream, _, _ = product_stream(left, right)
-    elif op == "quotient":
-        stream_in = _load_stream(args.input[0])
-        if args.partition is None:
-            raise FormatError("quotient needs --partition")
-        partition = _parse_json_arg(args.partition, "--partition")
-        if not isinstance(partition, list):
-            raise FormatError("--partition must be a list of classes")
-        for cls in partition:
-            _point_names(cls, "a --partition class")
-        stream, _ = quotient_stream(stream_in, partition)
-    elif op == "substream":
-        stream_in = _load_stream(args.input[0])
-        if args.points is None:
-            raise FormatError("substream needs --points")
-        points = _point_names(_parse_json_arg(args.points, "--points"), "--points")
-        stream, _ = substream(stream_in, points)
-    elif op == "join":
-        streams = [_load_stream(p) for p in args.input]
-        circ = join_circulations([s.circ for s in streams])
-        stream = Stream(streams[0].space, circ)
-    elif op == "pushforward":
-        if args.space is None or args.map is None:
-            raise FormatError("pushforward needs --space and --map")
-        stream_in = _load_stream(args.input[0])
-        target = _load_space(args.space)
-        mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
-        stream, _ = final_structure(target, [(stream_in, mapping)])
-    elif op == "pullback-cosheafify":
-        if args.space is None or args.map is None:
-            raise FormatError("pullback-cosheafify needs --space and --map")
-        stream_in = _load_stream(args.input[0])
-        source_space = _load_space(args.space)
-        mapping = _point_map(_parse_json_arg(args.map, "--map"), "--map")
-        stream, _ = initial_structure(source_space, [(mapping, stream_in)])
-    else:  # limit or colimit
-        if args.diagram is None:
-            raise FormatError(f"{op} needs --diagram")
-        diagram = _load_diagram(args.diagram)
-        stream, _ = (limit if op == "limit" else colimit)(diagram)
+    """Extra or missing --input files are an error, never silently ignored."""
+    count, builder = COMBINE[args.operation]
+    if count is None and not args.input:
+        raise FormatError(f"{args.operation} needs at least 1 --input file")
+    if count is not None and len(args.input) != count:
+        raise FormatError(
+            f"{args.operation} takes {count} --input file(s), got {len(args.input)}"
+        )
+    stream = builder(args, [_load_stream(p) for p in args.input])
     _write_output(stream_to_json(stream), args.output)
     return 0
 
@@ -363,19 +367,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_query.set_defaults(fn=cmd_query)
 
     p_combine = sub.add_parser("combine", help="combine stream files")
-    p_combine.add_argument(
-        "operation",
-        choices=[
-            "product",
-            "quotient",
-            "substream",
-            "join",
-            "pushforward",
-            "pullback-cosheafify",
-            "limit",
-            "colimit",
-        ],
-    )
+    p_combine.add_argument("operation", choices=list(COMBINE))
     p_combine.add_argument("--input", action="append", default=[], help="input stream file")
     p_combine.add_argument("--output", default=None)
     p_combine.add_argument("--partition", help="JSON list of classes")

@@ -5,11 +5,14 @@ sorted point lists, graphs as sorted pair lists (reflexive pairs included),
 two-space indent, trailing newline. Serializing a parsed canonical file
 reproduces it byte for byte.
 
-Stream files are read into generator rows and written straight from them:
-``stream_to_json`` emits the text ``canonical_dumps(serialize_stream(s))``
-would, without the dict or the pure-Python indenting encoder. The dict form
-stays for diagrams, which embed streams, and ``canonical_dumps`` for
-reports, spaces and precirculations.
+Stream files are read into generator rows and written straight from them.
+Each point's pair list is checked by ``relations._checked_rows``, the one
+pair-table check, which ``Preorder.build`` runs too; a load builds no
+``Preorder``. ``stream_to_json`` emits the text
+``canonical_dumps(serialize_stream(s))`` would, without the dict or the
+pure-Python indenting encoder. The dict form stays for diagrams, which embed
+streams, and ``canonical_dumps`` for reports, spaces and precirculations.
+A file that lists a point twice is refused.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .circulation import (
     _require_saturated,
     _saturate,
 )
-from .errors import FormatError, InvalidPreorder, UnknownPoint
-from .relations import Preorder, iter_bits
+from .errors import FormatError
+from .relations import Preorder, _checked_rows, iter_bits
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"
@@ -172,6 +175,11 @@ def _point_map(raw, what: str) -> dict[str, str]:
 
 def parse_space(obj: Mapping) -> FiniteSpace:
     points = _point_names(_require(obj, "points"), "field 'points'")
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise FormatError(f"point {p!r} is listed twice")
+        seen.add(p)
     table = {
         p: _point_names(members, f"min_open({p!r})")
         for p, members in _require(obj, "min_open", dict).items()
@@ -181,35 +189,16 @@ def parse_space(obj: Mapping) -> FiniteSpace:
 
 def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...], ...]:
     """The gen table as generator rows: each point's pairs set on the rows of
-    its minimal open. Each point is checked as ``Preorder.build`` on its
-    minimal open checks it, with the same exceptions and messages: pair by
-    pair both ends in the open, then reflexivity, then transitivity, which
-    holds when each pair (a, b) has row b inside row a."""
+    its minimal open, checked as a preorder on that open by
+    ``relations._checked_rows``, the check ``Preorder.build`` runs."""
     for key in table:
         if key not in space:
             raise FormatError(f"gen table keys unknown point {key!r}")
-    index = space._index
     family = []
     for x, mo in zip(space.points, space.min_open_rows):
         if x not in table:
             raise FormatError(f"gen table misses {x!r}")
-        rows = [0] * space.n
-        edges = []
-        for a, b in _parse_pairs(table[x]):
-            i, j = index.get(a, -1), index.get(b, -1)
-            if i < 0 or not mo >> i & 1:
-                raise UnknownPoint(f"pair ({a!r}, {b!r}): {a!r} not in carrier")
-            if j < 0 or not mo >> j & 1:
-                raise UnknownPoint(f"pair ({a!r}, {b!r}): {b!r} not in carrier")
-            rows[i] |= 1 << j
-            edges.append((i, j))
-        for i in iter_bits(mo):
-            if not rows[i] >> i & 1:
-                raise InvalidPreorder("relation is not reflexive")
-        for i, j in edges:
-            if rows[j] & ~rows[i]:
-                raise InvalidPreorder("relation is not transitive")
-        family.append(tuple(rows))
+        family.append(_checked_rows(space._index, mo, _parse_pairs(table[x]), True))
     return tuple(family)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernels import closure_rows, gather_rows
 from .errors import InvalidPreorder, StreamError, UnknownPoint
@@ -29,6 +29,34 @@ def tuple_point(*parts: str) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+def _checked_rows(
+    index: Mapping[str, int], carrier: int, pairs: Iterable[tuple[str, str]], preorder: bool
+) -> tuple[int, ...]:
+    """The one check of a pair table: its successor rows, one per name in
+    ``index``, on the names whose bits are set in ``carrier``. Pair by pair
+    both ends lie in the carrier (UnknownPoint); then, for a preorder, the
+    carrier's points are reflexive and each pair (a, b) has row b inside
+    row a, which is transitivity (InvalidPreorder)."""
+    rows = [0] * len(index)
+    edges = []
+    for x, y in pairs:
+        i, j = index.get(x, -1), index.get(y, -1)
+        if i < 0 or not carrier >> i & 1:
+            raise UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
+        if j < 0 or not carrier >> j & 1:
+            raise UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
+        rows[i] |= 1 << j
+        edges.append((i, j))
+    if preorder:
+        for i in iter_bits(carrier):
+            if not rows[i] >> i & 1:
+                raise InvalidPreorder("relation is not reflexive")
+        for i, j in edges:
+            if rows[j] & ~rows[i]:
+                raise InvalidPreorder("relation is not transitive")
+    return tuple(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Relation:
     """A binary relation: sorted carrier plus one successor bitmask per point.
@@ -44,14 +72,7 @@ class Relation:
     def build(cls, points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Relation":
         carrier = tuple(sorted(set(points)))
         index = {p: i for i, p in enumerate(carrier)}
-        rows = [0] * len(carrier)
-        for x, y in pairs:
-            if x not in index:
-                raise UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
-            if y not in index:
-                raise UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
-            rows[index[x]] |= 1 << index[y]
-        return cls(carrier, tuple(rows))
+        return cls(carrier, _checked_rows(index, (1 << len(carrier)) - 1, pairs, False))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -148,12 +169,9 @@ class Preorder(Relation):
 
     @classmethod
     def build(cls, points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Preorder":
-        raw = Relation.build(points, pairs)
-        if not raw.is_reflexive():
-            raise InvalidPreorder("relation is not reflexive")
-        if not raw.is_transitive():
-            raise InvalidPreorder("relation is not transitive")
-        return cls(raw.carrier, raw.rows)
+        carrier = tuple(sorted(set(points)))
+        index = {p: i for i, p in enumerate(carrier)}
+        return cls(carrier, _checked_rows(index, (1 << len(carrier)) - 1, pairs, True))
 
     @classmethod
     def identity(cls, points: Iterable[str]) -> "Preorder":

@@ -299,13 +299,12 @@ def quotient_space(
     return FiniteSpace(names, closure_rows(rows, len(names))), projection
 
 
-@lru_cache(maxsize=4096)
-def all_opens(space: FiniteSpace, cap: int | None = None) -> tuple[int, ...]:
-    """Every open set as a bitmask, ascending; optionally capped (raises
-    ValueError beyond the cap). The opens are the up-sets of specialization,
-    i.e. the unions of minimal opens, discovered one extension at a time."""
-    opens = {0}
-    frontier = [0]
+def _opens_above(space: FiniteSpace, base: int, cap: int | None = None) -> tuple[int, ...]:
+    """Every open containing the open set ``base``, ascending: the unions of
+    ``base`` with minimal opens, discovered one extension at a time; raises
+    ValueError when there are more than ``cap``."""
+    opens = {base}
+    frontier = [base]
     while frontier:
         mask = frontier.pop()
         for row in space.min_open_rows:
@@ -318,20 +317,22 @@ def all_opens(space: FiniteSpace, cap: int | None = None) -> tuple[int, ...]:
     return tuple(sorted(opens))
 
 
+@lru_cache(maxsize=4096)
+def all_opens(space: FiniteSpace, cap: int | None = None) -> tuple[int, ...]:
+    """Every open set as a bitmask, ascending; optionally capped (raises
+    ValueError beyond the cap). The opens are the up-sets of specialization,
+    i.e. the unions of minimal opens."""
+    return _opens_above(space, 0, cap)
+
+
 def open_supersets(space: FiniteSpace, subset_mask: int) -> list[int]:
-    """All opens containing the given set."""
+    """All opens containing the given set, ascending: the opens above the
+    union of its members' minimal opens, enumerated from that union, so the
+    work follows the supersets rather than the whole lattice."""
     core = subset_mask
     for i in iter_bits(subset_mask):
         core |= space.min_open_rows[i]
-    rest = [p for p in space.points if not core >> space.index(p) & 1]
-    side = subspace(space, rest)
-    out = []
-    for mask in all_opens(side):
-        lifted = core
-        for k in iter_bits(mask):
-            lifted |= 1 << space.index(side.points[k])
-        out.append(lifted)
-    return sorted(set(out))
+    return list(_opens_above(space, core))
 
 
 @lru_cache(maxsize=4096)

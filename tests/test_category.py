@@ -101,8 +101,9 @@ class TestCompositionLaws:
             maps = enumerate_stream_maps(s, t)[:4]
             for f in maps:
                 fm = StreamMap(s, t, f)
-                assert compose(fm, identity_map(s)).mapping == f
-                assert compose(identity_map(t), fm).mapping == f
+                for composite in (compose(fm, identity_map(s)), compose(identity_map(t), fm)):
+                    assert composite == fm and hash(composite) == hash(fm)
+                    assert is_stream_map(composite.mapping, s, t, mode="exhaustive").ok
         a, b, c = streams[:3]
         for f in enumerate_stream_maps(a, b)[:3]:
             fm = StreamMap(a, b, f)
@@ -110,6 +111,32 @@ class TestCompositionLaws:
                 gm = StreamMap(b, c, g)
                 gf = compose(gm, fm)
                 assert gf.mapping == {p: g[f[p]] for p in a.space.points}
+                assert is_stream_map(gf.mapping, a, c, mode="exhaustive").ok
+
+    def test_identities_are_stream_maps(self, rng, tiny_spaces):
+        for space in tiny_spaces:
+            s = random_stream(rng, space)
+            ident = identity_map(s)
+            assert ident == StreamMap(s, s, {p: p for p in space.points})
+            assert is_stream_map(ident.mapping, s, s, mode="exhaustive").ok
+
+    def test_equality_reads_source_target_and_mapping(self):
+        s = directed_interval(1)
+        ident = identity_map(s)
+        trivial = trivial_stream(s.space)
+        assert ident == identity_map(directed_interval(1))
+        assert len({ident, identity_map(directed_interval(1))}) == 1
+        assert ident != StreamMap(trivial, s, ident.mapping)
+        assert ident != StreamMap(s, s, {**ident.mapping, "zzz": "nowhere"})
+
+    def test_compose_ignores_keys_outside_the_source(self):
+        # a verified map may carry keys outside its source: is_continuous
+        # reads the source's points only
+        s = directed_interval(1)
+        junk = StreamMap(s, s, {**{p: p for p in s.space.points}, "zzz": "nowhere"})
+        composite = compose(identity_map(s), junk)
+        assert composite.mapping == identity_map(s).mapping
+        assert composite == identity_map(s)
 
 
 class TestFinalStructure:

@@ -338,12 +338,16 @@ class TestExport:
         assert code == 0
         assert out.startswith("digraph")
 
-    def test_unknown_format_rejected(self, tmp_path, capsys):
+    def test_json_output_is_canonical(self, tmp_path, capsys):
+        # a compact, unsorted input file is written back in canonical form;
+        # an unknown --fmt is test_usage_error_exits_2_with_one_line[bad-fmt]
+        obj = serialize_stream(directed_circle(2))
         path = tmp_path / "circle.json"
-        write(path, serialize_stream(directed_circle(2)))
-        code, _, _ = run(capsys, "export", "--input", str(path), "--fmt", "json",
-                         "--output", None if False else str(tmp_path / "x.json"))
+        path.write_text(json.dumps(dict(reversed(obj.items()))), encoding="utf-8")
+        out = tmp_path / "x.json"
+        code, _, _ = run(capsys, "export", "--input", str(path), "--fmt", "json", "--output", str(out))
         assert code == 0
+        assert out.read_bytes() == canonical_dumps(obj).encode("utf-8")
 
 
 # A prefix argument that stands for the malformed file itself, for
@@ -356,10 +360,10 @@ def malformed_cases():
     name or argument (a float or a boolean is not an integer), truncated
     diagram JSON, a diagram arrow missing a field, a diagram or atlas of the
     wrong shape, a short generator pair, a precirculation whose ``exact`` is
-    not a boolean or that lists an open twice, point names, point lists and
-    point maps nested one level too deep, JSON nested deeper than the
-    parser's recursion limit, and products, limits and colimits whose built
-    point names collide."""
+    not a boolean or that lists an open twice, a stream file that lists a
+    point twice, point names, point lists and point maps nested one level
+    too deep, JSON nested deeper than the parser's recursion limit, and
+    products, limits and colimits whose built point names collide."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
         ("directed_square", {"n": 2}), ("boundary_square", {"m": 2}),
@@ -416,6 +420,10 @@ def malformed_cases():
     precirculation["assign"][0]["open"] = [["e1"]]
     cases.append(pytest.param(["check", "--input"], json.dumps(precirculation), id="open-nested"))
     cases.append(pytest.param(["check", "--input"], "[" * 10_000, id="too-deep"))
+    repeated = {**serialize_stream(point_stream("a")), "points": ["a", "a", "b"]}
+    repeated["min_open"] = {"a": ["a"], "b": ["b"]}
+    repeated["gen"] = {"a": [["a", "a"]], "b": [["b", "b"]]}
+    cases.append(pytest.param(["export", "--input"], json.dumps(repeated), id="point-listed-twice"))
     interval = json.dumps(serialize_stream(directed_interval(1)))
     arguments = {
         "partition-number": ["quotient", "--partition", "[5]"],

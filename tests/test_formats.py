@@ -9,6 +9,7 @@ from finstream import (
     FiniteSpace,
     Stream,
     StreamDiagram,
+    all_opens,
     chaotic_precirculation,
     colimit,
     coproduct_stream,
@@ -21,6 +22,7 @@ from finstream import (
     initial_structure,
     join_circulations,
     limit,
+    point_stream,
     product_stream,
     quotient_stream,
     space_from_min_opens,
@@ -272,15 +274,30 @@ class TestSpaceAndPrecirculation:
         assert parse_stream(serialize_stream(s)) == s
 
     def test_precirculation_round_trip(self):
+        # a corpus precirculation is stored with exact false; the pathology
+        # pullback has no stored flag and is written with exact true
         fx = pathology_fixture()
-        obj = serialize_precirculation(fx.pulled)
-        back = parse_precirculation(obj)
-        assert back.space == fx.corner_space
-        for mask in range(4):
-            if mask and not back.space.set_of(mask):
-                continue
-            assert back.assign_mask(mask) == fx.pulled.assign_mask(mask)
-        assert back.exact is False or back.exact is True
+        random_pc = random_precirculation(random.Random(2727), directed_square(2, 1).space, seeds=3)
+        for pc, exact in ((random_pc, False), (fx.pulled, True)):
+            back = parse_precirculation(serialize_precirculation(pc))
+            assert back.space == pc.space
+            assert back.exact is exact
+            for mask in all_opens(back.space):
+                assert back.assign_mask(mask) == pc.assign_mask(mask)
+        assert fx.pulled.space == fx.corner_space
+
+    @pytest.mark.parametrize("points, repeated", [
+        (["a", "a", "b"], "a"),
+        (["b", "a", "c", "a", "b"], "a"),
+    ])
+    def test_point_listed_twice_is_refused(self, points, repeated):
+        obj = {**serialize_stream(point_stream("a")), "points": points}
+        obj["min_open"] = {p: [p] for p in points}
+        obj["gen"] = {p: [[p, p]] for p in points}
+        for parse in (parse_space, parse_stream, parse_any):
+            with pytest.raises(FormatError) as caught:
+                parse(obj)
+            assert str(caught.value) == f"point {repeated!r} is listed twice"
 
     def test_open_listed_twice_is_refused(self):
         # a second entry for the whole space, with another order, used to win

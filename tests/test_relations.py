@@ -229,6 +229,55 @@ class TestAccessors:
             Preorder.build(POINTS3, [(x, x) for x in POINTS3] + [("a", "b"), ("b", "c")])
 
 
+def pair_table_oracle(points, pairs, preorder):
+    """Relation.build (preorder false) and Preorder.build by the definitions:
+    the first pair with an end outside the carrier, then a point without its
+    loop, then pairs (x, y), (y, z) without (x, z); else the sorted graph."""
+    carrier = set(points)
+    for x, y in pairs:
+        for end in (x, y):
+            if end not in carrier:
+                return UnknownPoint, f"pair ({x!r}, {y!r}): {end!r} not in carrier"
+    graph = set(pairs)
+    if preorder and any((x, x) not in graph for x in carrier):
+        return InvalidPreorder, "relation is not reflexive"
+    if preorder and any((x, z) not in graph for x, y in graph for w, z in graph if y == w):
+        return InvalidPreorder, "relation is not transitive"
+    return sorted(graph)
+
+
+def build_outcome(cls, points, pairs):
+    try:
+        return sorted(cls.build(points, pairs).pairs())
+    except (UnknownPoint, InvalidPreorder) as exc:
+        return type(exc), str(exc)
+
+
+class TestPairTableCheck:
+    def test_builds_match_definitions(self):
+        # preorders with a pair dropped, added or renamed to an outside name
+        rng = random.Random(1515)
+        seen = set()
+        for _ in range(600):
+            points = rng.sample("abcd", rng.randint(0, 4))
+            pairs = list(rng.choice(all_preorders(points)).pairs())
+            edit = rng.randrange(4)
+            if edit == 1 and pairs:
+                pairs.pop(rng.randrange(len(pairs)))
+            elif edit == 2 and points:
+                pairs.append((rng.choice(points), rng.choice(points)))
+            elif edit == 3 and pairs:
+                x, y = pairs.pop(rng.randrange(len(pairs)))
+                pairs.append(rng.choice([(x, "zz"), ("zz", y)]))
+            rng.shuffle(pairs)
+            for cls, preorder in ((Relation, False), (Preorder, True)):
+                got = build_outcome(cls, points, pairs)
+                assert got == pair_table_oracle(points, pairs, preorder)
+                seen.add(got[1] if isinstance(got, tuple) else "built")
+        assert {"built", "relation is not reflexive", "relation is not transitive"} <= seen
+        assert any(kind.startswith("pair (") for kind in seen)
+
+
 class TestIntervalsAndConvexity:
     def chain3(self):
         return transitive_reflexive_closure(rel(POINTS3, [("a", "b"), ("b", "c")]))
