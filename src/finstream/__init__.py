@@ -49,9 +49,7 @@ from .circulation import (
     check_monotone,
     check_pseudo_circulation,
     circulation_from_generators,
-    connectivity_circulation,
     cosheafify,
-    cosheafify_by_enumeration,
     enumerate_circulations,
     half_cosheaf_holds,
     is_circulation,

@@ -1,6 +1,22 @@
-"""Bitmask-row kernels: transitive-reflexive closure and bit gathering."""
+"""Bitmask-row kernels, the one place where rows of bits are moved.
+
+A relation on points 0..n-1 is one int row per point, bit j of row i
+meaning i is related to j. ``closure_rows`` closes such rows,
+``gather_rows`` restricts them to a sub-carrier, ``image_rows`` relabels
+them along a point map, ``transpose_rows`` gives the converse relation and
+``reach`` ORs the rows at a mask's bits. Over the rows of a map's fibres,
+the converse of the rows ``1 << f[a]``, ``reach`` is a preimage.
+"""
 
 BACKEND = "python"
+
+
+def iter_bits(mask):
+    """Indices of set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def closure_rows(rows, n, positions=None):
@@ -62,3 +78,36 @@ def gather_rows(rows, mask):
             value |= (row >> start & run) << shift
         out.append(value)
     return tuple(out)
+
+
+def image_rows(rows, f, out, positions=None):
+    """OR the image of the relation along the point map f into out: bit
+    f[b] of row a lands in out[f[a]]. Returns out. ``positions`` (default
+    every row) names the rows to move, so a relation on a small open of a
+    large space costs the open."""
+    if positions is None:
+        positions = range(len(rows))
+    for a in positions:
+        image = 0
+        for b in iter_bits(rows[a]):
+            image |= 1 << f[b]
+        out[f[a]] |= image
+    return out
+
+
+def transpose_rows(rows, m):
+    """The converse relation on m columns: bit a of row b iff bit b of row a."""
+    out = [0] * m
+    for a, row in enumerate(rows):
+        bit = 1 << a
+        for b in iter_bits(row):
+            out[b] |= bit
+    return out
+
+
+def reach(mask, rows):
+    """The OR of the rows at the set bits of mask."""
+    out = 0
+    for i in iter_bits(mask):
+        out |= rows[i]
+    return out

@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._kernels import iter_bits, reach, transpose_rows
 from .circulation import (
     Stream,
     _final_lift,
@@ -30,7 +31,7 @@ from .circulation import (
     substream_circulation,
 )
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
-from .relations import iter_bits, product, tuple_point
+from .relations import product, tuple_point
 from .spaces import (
     FiniteSpace,
     _tuple_space,
@@ -67,19 +68,17 @@ def is_stream_map(
         raise ValueError(f"unknown mode {mode!r}")
     src, tgt = source.space, target.space
     fidx = [tgt.index(f[p]) for p in src.points]
+    fibres = transpose_rows([1 << t for t in fidx], tgt.n)
     for umask in masks:
-        pre = 0
-        for i, ti in enumerate(fidx):
-            if umask >> ti & 1:
-                pre |= 1 << i
+        pre = reach(umask, fibres)
         rows = source.circ.value_rows(pre)
         trows = target.circ.value_rows(umask)
         for i in iter_bits(pre):
-            trow = trows[fidx[i]]
-            for j in iter_bits(rows[i]):
-                if not trow >> fidx[j] & 1:
-                    open_pts = tuple(sorted(tgt.set_of(umask)))
-                    return StreamMapCheck(False, True, (open_pts, src.points[i], src.points[j]))
+            missed = rows[i] & ~reach(trows[fidx[i]], fibres)
+            if missed:
+                j = next(iter_bits(missed))
+                open_pts = tuple(sorted(tgt.set_of(umask)))
+                return StreamMapCheck(False, True, (open_pts, src.points[i], src.points[j]))
     return StreamMapCheck(True, True)
 
 

@@ -12,12 +12,9 @@ A precirculation only promises monotonicity under inclusion of opens; it is
 the raw material that cosheafification turns into the largest circulation
 below it.
 
-Two boundary notes. First, the minimal-open determination used throughout is
-special to spaces whose arbitrary open intersections are open (here: all
-finite spaces); no claim is made beyond that setting. Second, the
-connectivity-based circulation ("related iff the pair sits in a common
-compact Hausdorff connected subspace") degenerates on finite spaces, where
-compact Hausdorff subspaces are discrete: see :func:`connectivity_circulation`.
+The minimal-open determination used throughout is special to spaces whose
+arbitrary open intersections are open (here: all finite spaces); no claim is
+made beyond that setting.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._kernels import closure_rows
+from ._kernels import closure_rows, image_rows, iter_bits, reach, transpose_rows
 from .errors import (
     CarrierMismatch,
     InvalidPreorder,
@@ -38,20 +35,13 @@ from .errors import (
     NotRelated,
     UnknownPoint,
 )
-from .relations import (
-    Preorder,
-    all_preorders,
-    is_convex,
-    iter_bits,
-    join,
-)
+from .relations import Preorder, all_preorders, is_convex, join
 from .spaces import (
     FiniteSpace,
     all_opens,
     closure_mask,
     interior,
     is_connected_mask,
-    open_supersets,
     require_continuous,
     require_open_mask,
     subspace,
@@ -59,14 +49,7 @@ from .spaces import (
 
 def _embed_rows(p: Preorder, space: FiniteSpace) -> tuple[int, ...]:
     """Graph of p as full-space bitmask rows (zero rows off its carrier)."""
-    positions = [space.index(x) for x in p.carrier]
-    rows = [0] * space.n
-    for i, prow in zip(positions, p.rows):
-        row = 0
-        for j in iter_bits(prow):
-            row |= 1 << positions[j]
-        rows[i] = row
-    return tuple(rows)
+    return tuple(image_rows(p.rows, [space.index(x) for x in p.carrier], [0] * space.n))
 
 
 def _extract_preorder(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -> Preorder:
@@ -322,11 +305,8 @@ def _final_lift(
     for s, f in legs:
         require_continuous(f, s.space, target)
         fidx = [target.index(f[p]) for p in s.space.points]
-        for y, rows in enumerate(s.circ._gen_rows):
-            member = family[fidx[y]]
-            for a in iter_bits(s.space.min_open_rows[y]):
-                for b in iter_bits(rows[a]):
-                    member[fidx[a]] |= 1 << fidx[b]
+        for y, (mo, rows) in enumerate(zip(s.space.min_open_rows, s.circ._gen_rows)):
+            image_rows(rows, fidx, family[fidx[y]], iter_bits(mo))
     return _saturate(target, family)
 
 
@@ -345,16 +325,14 @@ def _initial_lift(
     for f, s in legs:
         require_continuous(f, source, s.space)
         fidx = [s.space.index(f[p]) for p in source.points]
-        fibre = [0] * s.space.n
-        for a, t in enumerate(fidx):
-            fibre[t] |= 1 << a
-        preimages: dict[int, int] = {}  # a row's preimage; fibres are disjoint, so sum is OR
+        fibres = transpose_rows([1 << t for t in fidx], s.space.n)
+        preimages: dict[int, int] = {}
         for x, rows in enumerate(family):
             value = s.circ._gen_rows[fidx[x]]
             for a in iter_bits(source.min_open_rows[x]):
                 row = value[fidx[a]]
                 if row not in preimages:
-                    preimages[row] = sum(fibre[t] for t in iter_bits(row))
+                    preimages[row] = reach(row, fibres)
                 rows[a] &= preimages[row]
     return _saturate(source, family)
 
@@ -423,15 +401,6 @@ def specialization_circulation(space: FiniteSpace) -> Circulation:
     rows = space.min_open_rows
     family = [tuple(rows[a] if mo >> a & 1 else 0 for a in range(space.n)) for mo in rows]
     return _saturate(space, family)
-
-
-def connectivity_circulation(space: FiniteSpace) -> Circulation:
-    """The circulation relating points that share a compact Hausdorff
-    connected subspace. Finite Hausdorff subspaces are discrete, so the only
-    connected ones are singletons and the value degenerates to the trivial
-    circulation; kept as a named constructor so the degeneracy is explicit.
-    """
-    return trivial_circulation(space)
 
 
 def join_circulations(circs: Sequence[Circulation]) -> Circulation:
@@ -599,26 +568,6 @@ def enumerate_circulations(space: FiniteSpace) -> tuple[Circulation, ...]:
     ))
 
 
-def cosheafify_by_enumeration(pc: Precirculation) -> Circulation:
-    """Oracle for cosheafification: join of every circulation dominated by
-    the precirculation on all opens."""
-    space = pc.space
-    opens = all_opens(space)
-    bounds = {m: pc.rows_on(m) for m in opens}
-    dominated = []
-    for circ in enumerate_circulations(space):
-        ok = True
-        for m in opens:
-            rows = circ.value_rows(m)
-            bound = bounds[m]
-            if any(rows[i] & ~bound[i] for i in range(space.n)):
-                ok = False
-                break
-        if ok:
-            dominated.append(circ)
-    return join_circulations(dominated)
-
-
 def pushforward(s: Stream, f: Mapping[str, str], target: FiniteSpace) -> Circulation:
     """Transport along a continuous map: the value on an open U of the target
     is the closure of the image of the value on its preimage. This is the
@@ -641,18 +590,17 @@ def pullback(
         source = source.circ
     target_space = source.space
     require_continuous(f, src_space, target_space)
-    fidx = {src_space.index(p): target_space.index(f[p]) for p in src_space.points}
+    fidx = [target_space.index(f[p]) for p in src_space.points]
+    graph = [1 << t for t in fidx]
+    fibres = transpose_rows(graph, target_space.n)
 
     def compute(umask: int) -> tuple[int, ...]:
-        vmask = 0
-        for i in iter_bits(umask):
-            vmask |= target_space.min_open_rows[fidx[i]]
-        vrows = source.rows_on(vmask)
+        # only the image's bits pull back into U, so each row costs U's width
+        image = reach(umask, graph)
+        vrows = source.rows_on(reach(image, target_space.min_open_rows))
         rows = [0] * src_space.n
         for a in iter_bits(umask):
-            for b in iter_bits(umask):
-                if vrows[fidx[a]] >> fidx[b] & 1:
-                    rows[a] |= 1 << b
+            rows[a] = reach(vrows[fidx[a]] & image, fibres) & umask
         return tuple(rows)
 
     return Precirculation(src_space, compute)
@@ -754,17 +702,21 @@ def alternating_witness(
 def validate_alternating_witness(
     s: Stream, u: Iterable[str], v: Iterable[str], x: str, y: str, chain: AlternatingChain
 ) -> bool:
-    """Re-check every step of a chain against the two opens' preorders."""
-    if chain.points[0] != x or chain.points[-1] != y:
+    """Re-check a chain against the two opens' preorders: it runs from x to
+    y, x lies in the union of the opens, its labels are "U" or "V" and
+    alternate, and each step is related in its labelled open's preorder."""
+    points, labels = chain.points, chain.labels
+    if len(points) != len(labels) + 1 or points[0] != x or points[-1] != y:
         return False
-    if len(chain.points) != len(chain.labels) + 1:
+    if any(label not in ("U", "V") for label in labels):
         return False
-    for a, b in zip(chain.labels, chain.labels[1:]):
-        if a == b:
-            return False
+    if any(a == b for a, b in zip(labels, labels[1:])):
+        return False
     pu = s.value(u)
     pv = s.value(v)
-    for k, label in enumerate(chain.labels):
+    if x not in pu and x not in pv:
+        return False
+    for k, label in enumerate(labels):
         value = pu if label == "U" else pv
         a, b = chain.points[k], chain.points[k + 1]
         if a not in value or b not in value or not value.has(a, b):
@@ -801,22 +753,15 @@ def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:
     per closed mask."""
     space = s.space
     up = s.circ.value_rows((1 << space.n) - 1)
-    down = [0] * space.n
-    point_closure = [0] * space.n
-    for i in range(space.n):
-        for j in iter_bits(up[i]):
-            down[j] |= 1 << i
-        for j in iter_bits(space.min_open_rows[i]):
-            point_closure[j] |= 1 << i
+    down = transpose_rows(up, space.n)
+    point_closure = transpose_rows(space.min_open_rows, space.n)
     connected: dict[int, bool] = {}
     for x in range(space.n):
         for y in range(space.n):
             interval = up[x] & down[y]
             if not interval:
                 continue
-            closed = 0
-            for a in iter_bits(interval):
-                closed |= point_closure[a]
+            closed = reach(interval, point_closure)
             ok = connected.get(closed)
             if ok is None:
                 ok = connected[closed] = is_connected_mask(space, closed)
@@ -828,17 +773,19 @@ def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:
 def check_convex_restriction(s: Stream, points: Iterable[str]) -> bool:
     """For a convex subset A of the underlying preorder, the restriction of
     the value on any open neighborhood of A's closure equals the restriction
-    of the underlying preorder."""
+    of the underlying preorder.
+
+    Values grow with the open, up to the underlying preorder, so the
+    restriction to A of the value on any such open lies between the one on
+    the smallest, the union of the closure's minimal opens, and the
+    underlying one: comparing at that smallest open decides."""
     subset = frozenset(points)
     under = s.underlying()
     if not is_convex(under, subset):
         raise NotConvex(f"{sorted(subset)!r} is not convex in the underlying preorder")
-    target = under.restrict(subset)
     closed = closure_mask(s.space, s.space.mask_of(subset))
-    for umask in open_supersets(s.space, closed):
-        if s.value_mask(umask).restrict(subset) != target:
-            return False
-    return True
+    smallest = reach(closed, s.space.min_open_rows)
+    return s.value_mask(smallest).restrict(subset) == under.restrict(subset)
 
 
 def check_pseudo_circulation(s: Stream, family: Sequence[Iterable[str]]) -> bool:
@@ -868,31 +815,29 @@ def check_convex_cover_identity(s: Stream, open_set: Iterable[str]) -> tuple[boo
     set, the value on the set equals the join of the underlying preorder
     restricted to the convex subsets with closure inside the set.
 
-    Returns (hypothesis_holds, identity_holds_or_None)."""
+    Returns (hypothesis_holds, identity_holds_or_None).
+
+    Decided from convex hulls, with no subset enumeration. A subset has
+    closure inside the set iff its points are eligible (their closures are
+    inside), and the least convex set holding S is up(S) & down(S) in the
+    underlying preorder. So a point p is covered iff the hull of
+    min_open(p) is eligible, and x <= y lie in one eligible convex subset
+    iff the interval up(x) & down(y) is eligible: the right-hand side is the
+    closure on the set of those pairs."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
-    under = s.underlying()
-    eligible = [
-        p
-        for p in space.set_of(mask)
-        if not closure_mask(space, space.mask_of([p])) & ~mask
-    ]
-    candidates = []
-    for r in range(len(eligible) + 1):
-        for combo in itertools.combinations(sorted(eligible), r):
-            subset = frozenset(combo)
-            if closure_mask(space, space.mask_of(subset)) & ~mask:
-                continue
-            if is_convex(under, subset):
-                candidates.append(subset)
-    covered = set()
-    for a in candidates:
-        covered.update(interior(space, a))
-    if covered != space.set_of(mask):
-        return False, None
-    carrier = sorted(space.set_of(mask))
-    rhs = join([under.restrict(a) for a in candidates], carrier=carrier)
-    return True, s.value_mask(mask) == rhs
+    up = s.circ.value_rows((1 << space.n) - 1)
+    down = transpose_rows(up, space.n)
+    point_closure = transpose_rows(space.min_open_rows, space.n)
+    eligible = sum(1 << p for p in iter_bits(mask) if not point_closure[p] & ~mask)
+    for p in iter_bits(mask):
+        mo = space.min_open_rows[p]
+        if reach(mo, up) & reach(mo, down) & ~eligible:
+            return False, None
+    rows = [0] * space.n
+    for x in iter_bits(eligible):
+        rows[x] = sum(1 << y for y in iter_bits(up[x] & eligible) if not up[x] & down[y] & ~eligible)
+    return True, s.circ.value_rows(mask) == closure_rows(rows, space.n, list(iter_bits(mask)))
 
 
 def check_antisymmetric_convexity(s: Stream) -> tuple[bool, bool]:

@@ -10,8 +10,10 @@ Each point's pair list is checked by ``relations._checked_rows``, the one
 pair-table check, which ``Preorder.build`` runs too; a load builds no
 ``Preorder``. ``stream_to_json`` emits the text
 ``canonical_dumps(serialize_stream(s))`` would, without the dict or the
-pure-Python indenting encoder. The dict form stays for diagrams, which embed
-streams, and ``canonical_dumps`` for reports, spaces and precirculations.
+pure-Python indenting encoder. ``serialize_stream``, the dict form, has no
+caller in the library and stays for the tests and the benchmark, which
+build diagram files from it; ``canonical_dumps`` writes reports, spaces and
+precirculations.
 A file that lists a point twice is refused.
 """
 
@@ -21,6 +23,7 @@ import json
 from json.encoder import encode_basestring
 from typing import Any, Mapping
 
+from ._kernels import iter_bits
 from .circulation import (
     Circulation,
     Precirculation,
@@ -30,7 +33,7 @@ from .circulation import (
     _saturate,
 )
 from .errors import FormatError
-from .relations import Preorder, _checked_rows, iter_bits
+from .relations import Preorder, _checked_rows
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"

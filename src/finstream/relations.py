@@ -10,18 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ._kernels import closure_rows, gather_rows
+from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
 from .errors import InvalidPreorder, StreamError, UnknownPoint
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def tuple_point(*parts: str) -> str:
@@ -122,30 +114,17 @@ class Relation:
         return type(self)(sub, gather_rows([self.rows[i] for i in iter_bits(mask)], mask))
 
     def inverse(self) -> "Relation":
-        rows = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in iter_bits(row):
-                rows[j] |= 1 << i
-        return type(self)(self.carrier, tuple(rows))
+        return type(self)(self.carrier, tuple(transpose_rows(self.rows, self.n)))
 
     def is_reflexive(self) -> bool:
         return all(row >> i & 1 for i, row in enumerate(self.rows))
 
     def is_transitive(self) -> bool:
-        for i in range(self.n):
-            reach = 0
-            for j in iter_bits(self.rows[i]):
-                reach |= self.rows[j]
-            if reach & ~self.rows[i]:
-                return False
-        return True
+        return not any(reach(row, self.rows) & ~row for row in self.rows)
 
     def is_antisymmetric(self) -> bool:
-        for i in range(self.n):
-            for j in iter_bits(self.rows[i]):
-                if j != i and self.rows[j] >> i & 1:
-                    return False
-        return True
+        back = transpose_rows(self.rows, self.n)
+        return not any(row & back[i] & ~(1 << i) for i, row in enumerate(self.rows))
 
     def graph_size(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -206,11 +185,7 @@ def join(preorders: Sequence[Preorder], carrier: Iterable[str] | None = None) ->
     index = {x: i for i, x in enumerate(out)}
     rows = [0] * len(out)
     for p in preorders:
-        for i, x in enumerate(p.carrier):
-            merged = 0
-            for j in iter_bits(p.rows[i]):
-                merged |= 1 << index[p.carrier[j]]
-            rows[index[x]] |= merged
+        image_rows(p.rows, [index[x] for x in p.carrier], rows)
     return Preorder(out, closure_rows(rows, len(out)))
 
 
@@ -236,15 +211,13 @@ def _tuple_rows(
     """The componentwise relation on the given tuples, each tuple given by
     its coordinate indices: s is in the row of t iff s[i] is in factor i's
     row of t[i] for every i. Each factor contributes one mask per point, the
-    tuples whose coordinate i lies in that point's row, and a tuple's row is
-    the AND of its coordinates' masks."""
+    tuples whose coordinate i lies in that point's row (the row's preimage
+    under the i-th projection), and a tuple's row is the AND of its
+    coordinates' masks."""
     ups = []
     for i, rows in enumerate(factor_rows):
-        select = [0] * len(rows)
-        for t, c in enumerate(coords):
-            select[c[i]] |= 1 << t
-        # the select masks of distinct points are disjoint, so sum is OR
-        ups.append([sum(select[y] for y in iter_bits(row)) for row in rows])
+        select = transpose_rows([1 << c[i] for c in coords], len(rows))
+        ups.append([reach(row, select) for row in rows])
     out = []
     for c in coords:
         row = (1 << len(coords)) - 1
@@ -274,10 +247,7 @@ def bounded_interval(p: Preorder, x: str, y: str) -> frozenset[str]:
     """All z with x <= z and z <= y."""
     up = p.rows[p.index(x)]
     j = p.index(y)
-    down = 0
-    for i in range(p.n):
-        if p.rows[i] >> j & 1:
-            down |= 1 << i
+    (down,) = transpose_rows([row >> j & 1 for row in p.rows], 1)
     return p.set_of(up & down)
 
 
@@ -307,11 +277,6 @@ def all_preorders(points: Iterable[str]) -> list[Preorder]:
 def is_convex(p: Preorder, points: Iterable[str]) -> bool:
     """True iff x <= y <= z with x, z in the set forces y into the set."""
     mask = p.mask_of(points)
-    up = 0
-    for i in iter_bits(mask):
-        up |= p.rows[i]
-    down = 0
-    for i in range(p.n):
-        if p.rows[i] & mask:
-            down |= 1 << i
+    up = reach(mask, p.rows)
+    down = reach(mask, transpose_rows(p.rows, p.n))
     return not (up & down & ~mask)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import closure_rows, gather_rows
+from ._kernels import closure_rows, gather_rows, image_rows, iter_bits
 from .errors import (
     InvalidPartition,
     MissingPoint,
@@ -23,7 +23,7 @@ from .errors import (
     StreamError,
     UnknownPoint,
 )
-from .relations import Preorder, _by_unique_name, _tuple_rows, iter_bits, tuple_point
+from .relations import Preorder, _by_unique_name, _tuple_rows, tuple_point
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,9 @@ def is_continuous(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> b
             raise MissingPoint(f"map undefined on {p!r}")
         if f[p] not in dst:
             raise UnknownPoint(f"map sends {p!r} outside the target space")
-    fidx = [dst.index(f[p]) for p in src.points]
-    for i, row in enumerate(src.min_open_rows):
-        for j in iter_bits(row):
-            if not dst.min_open_rows[fidx[i]] >> fidx[j] & 1:
-                return False
-    return True
+    # the image of every row with f(a) = t must lie in t's row
+    image = image_rows(src.min_open_rows, [dst.index(f[p]) for p in src.points], [0] * dst.n)
+    return not any(row & ~big for row, big in zip(image, dst.min_open_rows))
 
 
 def require_continuous(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> None:
@@ -257,10 +254,7 @@ def coproduct_space(
     for tag, space in zip(tags, family):
         inc = {p: f"{tag}:{p}" for p in space.points}
         inclusions.append(inc)
-        pos = [index[inc[p]] for p in space.points]
-        for i, row in enumerate(space.min_open_rows):
-            # the positions of distinct points differ, so sum is OR
-            rows[pos[i]] = sum(1 << pos[j] for j in iter_bits(row))
+        image_rows(space.min_open_rows, [index[inc[p]] for p in space.points], rows)
     return FiniteSpace(points, tuple(rows)), inclusions
 
 
@@ -292,19 +286,17 @@ def quotient_space(
     names = tuple(sorted(c[0] for c in classes))
     number = {name: k for k, name in enumerate(names)}
     cls = [number[seen[p]] for p in space.points]
-    rows = [0] * len(names)
-    for i, row in enumerate(space.min_open_rows):
-        for j in iter_bits(row):
-            rows[cls[i]] |= 1 << cls[j]
+    rows = image_rows(space.min_open_rows, cls, [0] * len(names))
     return FiniteSpace(names, closure_rows(rows, len(names))), projection
 
 
-def _opens_above(space: FiniteSpace, base: int, cap: int | None = None) -> tuple[int, ...]:
-    """Every open containing the open set ``base``, ascending: the unions of
-    ``base`` with minimal opens, discovered one extension at a time; raises
-    ValueError when there are more than ``cap``."""
-    opens = {base}
-    frontier = [base]
+@lru_cache(maxsize=4096)
+def all_opens(space: FiniteSpace, cap: int | None = None) -> tuple[int, ...]:
+    """Every open set as a bitmask, ascending; optionally capped (raises
+    ValueError beyond the cap). The opens are the up-sets of specialization,
+    i.e. the unions of minimal opens, discovered one extension at a time."""
+    opens = {0}
+    frontier = [0]
     while frontier:
         mask = frontier.pop()
         for row in space.min_open_rows:
@@ -315,24 +307,6 @@ def _opens_above(space: FiniteSpace, base: int, cap: int | None = None) -> tuple
                 if cap is not None and len(opens) > cap:
                     raise ValueError(f"open lattice exceeds cap {cap}")
     return tuple(sorted(opens))
-
-
-@lru_cache(maxsize=4096)
-def all_opens(space: FiniteSpace, cap: int | None = None) -> tuple[int, ...]:
-    """Every open set as a bitmask, ascending; optionally capped (raises
-    ValueError beyond the cap). The opens are the up-sets of specialization,
-    i.e. the unions of minimal opens."""
-    return _opens_above(space, 0, cap)
-
-
-def open_supersets(space: FiniteSpace, subset_mask: int) -> list[int]:
-    """All opens containing the given set, ascending: the opens above the
-    union of its members' minimal opens, enumerated from that union, so the
-    work follows the supersets rather than the whole lattice."""
-    core = subset_mask
-    for i in iter_bits(subset_mask):
-        core |= space.min_open_rows[i]
-    return list(_opens_above(space, core))
 
 
 @lru_cache(maxsize=4096)

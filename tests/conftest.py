@@ -33,7 +33,11 @@ from finstream import (
     directed_square,
     boundary_square,
     empty_stream,
+    enumerate_circulations,
+    interior,
     is_connected,
+    is_convex,
+    join,
     join_circulations,
     point_stream,
     product_space,
@@ -56,7 +60,7 @@ from finstream.formats import (
     parse_space,
 )
 from finstream.relations import iter_bits
-from finstream.spaces import require_open_mask
+from finstream.spaces import closure_mask, require_open_mask
 
 
 def closure_oracle(carrier, pairs):
@@ -112,6 +116,89 @@ def connected_intervals_oracle(s):
             if not is_connected(s.space, closure_set(s.space, interval)):
                 return False, (x, y)
     return True, None
+
+
+def stream_map_witness_oracle(f, source, target, mode):
+    """is_stream_map's witness, by names: the first target open (minimal
+    opens in point order, or every open ascending) whose preimage's value
+    has a pair (a, b), in point order, whose images the open's value does
+    not relate."""
+    space = target.space
+    if mode == "fast":
+        masks = list(dict.fromkeys(space.min_open_rows))
+    else:
+        masks = list(all_opens(space))
+    for umask in masks:
+        u = space.set_of(umask)
+        value = source.value([p for p in source.space.points if f[p] in u])
+        image = target.value(u)
+        for a, b in sorted(value.pairs()):
+            if not image.has(f[a], f[b]):
+                return tuple(sorted(u)), a, b
+    return None
+
+
+def cosheafify_by_enumeration(pc):
+    """Oracle for cosheafification: join of every circulation dominated by
+    the precirculation on all opens."""
+    space = pc.space
+    opens = all_opens(space)
+    bounds = {m: pc.rows_on(m) for m in opens}
+    dominated = []
+    for circ in enumerate_circulations(space):
+        ok = True
+        for m in opens:
+            rows = circ.value_rows(m)
+            bound = bounds[m]
+            if any(rows[i] & ~bound[i] for i in range(space.n)):
+                ok = False
+                break
+        if ok:
+            dominated.append(circ)
+    return join_circulations(dominated)
+
+
+def convex_restriction_oracle(s, points):
+    """check_convex_restriction on a convex subset, at every open that
+    contains the subset's closure."""
+    subset = frozenset(points)
+    under = s.underlying()
+    target = under.restrict(subset)
+    closed = closure_mask(s.space, s.space.mask_of(subset))
+    return all(
+        s.value_mask(umask).restrict(subset) == target
+        for umask in all_opens(s.space)
+        if not closed & ~umask
+    )
+
+
+def convex_cover_identity_oracle(s, open_set):
+    """check_convex_cover_identity by enumerating every subset of the
+    eligible points (those whose closure stays in the open set)."""
+    space = s.space
+    mask = require_open_mask(space, space.mask_of(open_set))
+    under = s.underlying()
+    eligible = [
+        p
+        for p in space.set_of(mask)
+        if not closure_mask(space, space.mask_of([p])) & ~mask
+    ]
+    candidates = []
+    for r in range(len(eligible) + 1):
+        for combo in itertools.combinations(sorted(eligible), r):
+            subset = frozenset(combo)
+            if closure_mask(space, space.mask_of(subset)) & ~mask:
+                continue
+            if is_convex(under, subset):
+                candidates.append(subset)
+    covered = set()
+    for a in candidates:
+        covered.update(interior(space, a))
+    if covered != space.set_of(mask):
+        return False, None
+    carrier = sorted(space.set_of(mask))
+    rhs = join([under.restrict(a) for a in candidates], carrier=carrier)
+    return True, s.value_mask(mask) == rhs
 
 
 def open_sets(space):

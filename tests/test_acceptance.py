@@ -20,7 +20,6 @@ from finstream import (
     check_convex_restriction,
     check_pseudo_circulation,
     cosheafify,
-    cosheafify_by_enumeration,
     directed_circle,
     directed_interval,
     enumerate_point_maps,
@@ -51,6 +50,8 @@ from finstream.corpus import (
 )
 from finstream.models import interval_endpoint_partition, pathology_fixture
 from finstream.spaces import closure_set, interior, quotient_space
+
+from conftest import cosheafify_by_enumeration
 
 
 class Budget:

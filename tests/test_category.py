@@ -42,7 +42,7 @@ from finstream.errors import IllTypedDiagram, NotStreamMap, StreamError
 from finstream.formats import canonical_dumps, serialize_stream
 from finstream.spaces import space_from_min_opens
 
-from conftest import limit_oracle, product_oracle
+from conftest import limit_oracle, product_oracle, stream_map_witness_oracle
 
 
 def circle_rotation(n):
@@ -86,6 +86,9 @@ class TestIsStreamMap:
                 fast = is_stream_map(f, s, t, "fast")
                 slow = is_stream_map(f, s, t, "exhaustive")
                 assert fast.ok == slow.ok
+                if fast.continuous:
+                    assert fast.witness == stream_map_witness_oracle(f, s, t, "fast")
+                    assert slow.witness == stream_map_witness_oracle(f, s, t, "exhaustive")
 
     def test_constructor_rejects(self):
         s = directed_circle(2)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from finstream import (
+    AlternatingChain,
     Circulation,
     DiagramArrow,
     FuncPrecirculation,
@@ -71,13 +72,15 @@ from finstream.errors import (
 )
 from finstream.models import pathology_fixture
 from finstream.relations import iter_bits
-from finstream.spaces import space_from_min_opens
+from finstream.spaces import closure_mask, space_from_min_opens
 
 from conftest import (
     alternating_witness_oracle,
     chain_witness_oracle,
     closure_oracle,
     connected_intervals_oracle,
+    convex_cover_identity_oracle,
+    convex_restriction_oracle,
     full_carrier_join,
     model_streams,
     open_sets,
@@ -538,14 +541,33 @@ class TestAlternatingWitness:
     def test_circle_loop_chain_validates(self):
         # the full loop e1 -> e2 -> e1 is a valid alternating chain between
         # the two stars, though the minimal witness for (e1, e1) is empty
-        from finstream import AlternatingChain
-
         s = directed_circle(2)
         star0 = s.space.min_open("v0")
         star1 = s.space.min_open("v1")
         loop = AlternatingChain(("e1", "e2", "e1"), ("V", "U"))
         assert validate_alternating_witness(s, star0, star1, "e1", "e1", loop)
         assert len(alternating_witness(s, star0, star1, "e1", "e1")) == 0
+
+    def test_refuses_malformed_certificates(self):
+        s = directed_interval(2)
+        mo = s.space.min_open
+        u, v = mo("v0") | mo("v1"), mo("v1") | mo("v2")
+        chain = alternating_witness(s, u, v, "v0", "v2")
+        assert chain.labels == ("U", "V")
+        assert validate_alternating_witness(s, u, v, "v0", "v2", chain)
+        # a label that names neither open
+        relabelled = AlternatingChain(chain.points, ("U", "W"))
+        assert not validate_alternating_witness(s, u, v, "v0", "v2", relabelled)
+        # no points at all
+        assert not validate_alternating_witness(s, u, v, "v0", "v0", AlternatingChain((), ()))
+        # a zero-step chain at a point outside the union, which
+        # alternating_witness refuses
+        with pytest.raises(UnknownPoint):
+            alternating_witness(s, u, v, "zz", "zz")
+        assert not validate_alternating_witness(s, u, v, "zz", "zz", AlternatingChain(("zz",), ()))
+        for x in s.space.points:
+            stay = AlternatingChain((x,), ())
+            assert validate_alternating_witness(s, u, v, x, x, stay) == (x in u | v)
 
     def test_circle_two_step_minimal_chain(self):
         s = directed_circle(2)
@@ -744,14 +766,20 @@ class TestConvexRestriction:
             check_convex_restriction(s, ["v0", "v1"])
 
     def test_all_convex_subsets_at_small_scale(self, corpus_streams):
-        for s in corpus_streams:
-            if s.space.n > 4:
-                continue
+        # the check reads only the smallest open around the subset's
+        # closure; the oracle reads every open around it
+        streams = [s for s in corpus_streams if s.space.n <= 4]
+        streams += [directed_interval(3), directed_circle(4), directed_square(1, 1)]
+        for s in streams:
             under = s.underlying()
             for r in range(s.space.n + 1):
                 for subset in itertools.combinations(s.space.points, r):
                     if is_convex(under, subset):
                         assert check_convex_restriction(s, subset)
+                        assert convex_restriction_oracle(s, subset)
+                    else:
+                        with pytest.raises(NotConvex):
+                            check_convex_restriction(s, subset)
 
 
 class TestPseudoCirculations:
@@ -807,13 +835,28 @@ class TestConvexCoverIdentity:
                 assert holds
 
     def test_all_opens_small(self, corpus_streams):
-        for s in corpus_streams:
-            if s.space.n > 3:
-                continue
+        # the check decides from hulls and intervals; the oracle enumerates
+        # every subset of the eligible points
+        streams = [s for s in corpus_streams if s.space.n <= 4]
+        streams += [directed_interval(3), directed_circle(3), directed_square(1, 1)]
+        outcomes = set()
+        for s in streams:
             for mask in all_opens(s.space):
-                hyp, holds = check_convex_cover_identity(s, s.space.set_of(mask))
+                open_set = s.space.set_of(mask)
+                hyp, holds = check_convex_cover_identity(s, open_set)
+                assert (hyp, holds) == convex_cover_identity_oracle(s, open_set)
                 if hyp:
                     assert holds
+                # each point of the set must lie in a subset whose closure
+                # stays inside it, so the hypothesis says the set is closed
+                assert hyp == (closure_mask(s.space, mask) == mask)
+                outcomes.add(hyp)
+        assert outcomes == {True, False}
+
+    def test_large_interval_is_answered(self):
+        # 81 eligible points: 2^81 subsets would never finish
+        s = directed_interval(40)
+        assert check_convex_cover_identity(s, s.space.points) == (True, True)
 
 
 class TestAntisymmetricConvexity:

@@ -5,7 +5,6 @@ from finstream import (
     all_opens,
     chaotic_precirculation,
     cosheafify,
-    cosheafify_by_enumeration,
     enumerate_circulations,
     is_circulation,
     trivial_circulation,
@@ -13,6 +12,8 @@ from finstream import (
 from finstream.circulation import StoredPrecirculation
 from finstream.corpus import random_precirculation, random_stream, spaces_upto
 from finstream.spaces import space_from_min_opens
+
+from conftest import cosheafify_by_enumeration
 
 
 def dominated(circ, pc):

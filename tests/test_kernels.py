@@ -1,7 +1,15 @@
 import random
 
 import finstream
-from finstream._kernels import BACKEND, closure_rows, gather_rows
+from finstream._kernels import (
+    BACKEND,
+    closure_rows,
+    gather_rows,
+    image_rows,
+    iter_bits,
+    reach,
+    transpose_rows,
+)
 
 from conftest import closure_oracle
 
@@ -101,3 +109,87 @@ def test_gather_rows_matches_per_bit_oracle():
             assert gather_rows(rows, mask) == gather_oracle(rows, mask)
     assert gather_rows([], 0b101) == ()
     assert gather_rows([0b111], 0) == (0,)
+
+
+def bits_oracle(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def random_widths(rng):
+    """Row widths 0-70, each with rows that are empty, full, single bits or
+    random."""
+    for n in (0, 1, 2, 5, 63, 64, 65, 70):
+        full = (1 << n) - 1
+        rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+        if n:
+            rows[0] = 0
+            rows[-1] = full
+            rows[n // 2] = 1 << rng.randrange(n)
+        yield n, rows
+
+
+def test_iter_bits_matches_per_bit_oracle():
+    rng = random.Random(4)
+    for n in (0, 1, 63, 64, 65, 70, 289):
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
+            assert list(iter_bits(mask)) == bits_oracle(mask)
+
+
+def test_image_rows_matches_per_bit_oracle():
+    rng = random.Random(5)
+    for n, rows in random_widths(rng):
+        for m in (1, 3, n, n + 7):
+            if not m:
+                continue
+            maps = [
+                [rng.randrange(m) for _ in range(n)],  # non-injective when m < n
+                [0] * n,  # constant
+                [(a * 7) % m for a in range(n)],
+            ]
+            for f in maps:
+                for positions in (None, sorted(rng.sample(range(n), n // 3))):
+                    base = [rng.getrandbits(m) for _ in range(m)]
+                    expected = list(base)
+                    for a in range(n) if positions is None else positions:
+                        for b in range(n):
+                            if rows[a] >> b & 1:
+                                expected[f[a]] |= 1 << f[b]
+                    out = list(base)
+                    assert image_rows(rows, f, out, positions) is out
+                    assert out == expected
+    # the empty map moves nothing
+    out = [0b101, 0]
+    assert image_rows([], [], out) == [0b101, 0]
+
+
+def test_transpose_rows_matches_per_bit_oracle():
+    rng = random.Random(6)
+    for n, rows in random_widths(rng):
+        expected = [
+            sum(1 << a for a in range(n) if rows[a] >> b & 1) for b in range(n)
+        ]
+        assert transpose_rows(rows, n) == expected
+        assert transpose_rows(transpose_rows(rows, n), n) == rows
+    assert transpose_rows([], 3) == [0, 0, 0]
+    assert transpose_rows([], 0) == []
+    # the converse of the rows 1 << f[a] is the fibres of f, empty ones too
+    f = [2, 0, 2, 2]
+    assert transpose_rows([1 << t for t in f], 4) == [0b0010, 0, 0b1101, 0]
+
+
+def test_reach_matches_per_bit_oracle():
+    rng = random.Random(7)
+    for n, rows in random_widths(rng):
+        masks = [0, (1 << n) - 1] + [1 << j for j in {0, n // 2, n - 1} if 0 <= j < n]
+        masks += [rng.getrandbits(n) if n else 0 for _ in range(10)]
+        for mask in masks:
+            expected = 0
+            for j in range(n):
+                if mask >> j & 1:
+                    expected |= rows[j]
+            assert reach(mask, rows) == expected
+    # over the fibres of a map, reach is the preimage
+    f = [2, 0, 2, 2, 1]
+    fibres = transpose_rows([1 << t for t in f], 3)
+    for target in range(8):
+        assert reach(target, fibres) == sum(1 << a for a, t in enumerate(f) if target >> t & 1)

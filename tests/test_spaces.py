@@ -31,7 +31,6 @@ from finstream.errors import (
     StreamError,
     UnknownPoint,
 )
-from finstream.spaces import open_supersets
 
 from conftest import (
     connected_oracle,
@@ -125,22 +124,6 @@ class TestOpensAndClosure:
                 for u in open_sets(space):
                     if u <= set(subset):
                         assert u <= inner
-
-    def test_open_supersets(self, small_spaces):
-        space = directed_interval(1).space
-        closed = closure_set(space, {"e1"})
-        found = {space.set_of(m) for m in open_supersets(space, space.mask_of(closed))}
-        expected = {u for u in open_sets(space) if closed <= u}
-        assert found == expected
-        # every subset of every small space, against the opens by definition
-        for space in small_spaces:
-            everything = range(1 << space.n)
-            opens = [
-                u for u in everything
-                if all(not space.min_open_rows[i] & ~u for i in range(space.n) if u >> i & 1)
-            ]
-            for subset in everything:
-                assert open_supersets(space, subset) == [u for u in opens if u & subset == subset]
 
 
 class TestSpecializationAndContinuity:
