@@ -552,10 +552,11 @@ def cosheafify(pc: Precirculation) -> Circulation:
     return _saturate(pc.space, [pc.rows_on(mo) for mo in pc.space.min_open_rows])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def enumerate_circulations(space: FiniteSpace) -> tuple[Circulation, ...]:
     """Every circulation on a small space: all generator families, saturated,
-    deduplicated. Intended for oracle use; guarded against blowup."""
+    deduplicated. Intended for oracle use; guarded against blowup. The
+    answers for the last 128 spaces asked about are kept."""
     choices = [all_preorders(space.min_open(x)) for x in space.points]
     total = 1
     for c in choices:
@@ -646,13 +647,13 @@ def _related_indices(
 
 
 def _shortest_chain(
-    x: int, y: int, steps: Sequence[tuple[str, Sequence[int]]]
+    x: int, y: int, steps: Callable[[int], Iterable[tuple[str, int]]]
 ) -> list[tuple[int, str, int]]:
-    """Breadth-first search over point indices from x to y. Each step
-    (label, rows) leads from a to every bit of rows[a]. Returns the first
-    shortest chain found as (a, label, b) triples, empty when x == y;
-    points are expanded in frontier order, then steps in the given order,
-    then targets in point order."""
+    """Breadth-first search over point indices from x to y. ``steps(a)``
+    yields the (label, row) steps out of a, each leading to every bit of
+    row. Returns the first shortest chain found as (a, label, b) triples,
+    empty when x == y; points are expanded in frontier order, then steps in
+    the order yielded, then targets in point order."""
     parents: dict[int, tuple[int, str]] = {}
     seen = 1 << x
     frontier = [x]
@@ -661,8 +662,8 @@ def _shortest_chain(
             raise AssertionError("related pair admits no chain")
         nxt = []
         for a in frontier:
-            for label, rows in steps:
-                fresh = rows[a] & ~seen
+            for label, row in steps(a):
+                fresh = row & ~seen
                 seen |= fresh
                 for b in iter_bits(fresh):
                     parents[b] = (a, label)
@@ -693,8 +694,8 @@ def alternating_witness(
     vmask = require_open_mask(space, space.mask_of(v))
     both = umask | vmask
     i, j = _related_indices(space, both, s.circ.value_rows(both), x, y, "the union")
-    steps = (("U", s.circ.value_rows(umask)), ("V", s.circ.value_rows(vmask)))
-    chain = _shortest_chain(i, j, steps)
+    urows, vrows = s.circ.value_rows(umask), s.circ.value_rows(vmask)
+    chain = _shortest_chain(i, j, lambda a: (("U", urows[a]), ("V", vrows[a])))
     points = (x,) + tuple(space.points[b] for _, _, b in chain)
     return AlternatingChain(points, tuple(label for _, label, _ in chain))
 
@@ -732,11 +733,18 @@ def chain_witness(
     This is the gluing decomposition for the canonical minimal-open cover.
 
     The chain is a shortest one over the generators of the set's points,
-    found in point order, so it is the same in every process."""
+    found in point order, so it is the same in every process. A step out of
+    a is tried only for the z whose minimal open holds a: every other
+    generator's row at a is zero."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
     i, j = _related_indices(space, mask, s.circ.value_rows(mask), x, y, "the open set")
-    steps = [(space.points[z], s.circ._gen_rows[z]) for z in iter_bits(mask)]
+    gens = s.circ._gen_rows
+
+    def steps(a: int):
+        for z in iter_bits(space.closure_rows[a] & mask):
+            yield space.points[z], gens[z][a]
+
     chain = _shortest_chain(i, j, steps)
     return [(space.points[a], z, space.points[b]) for a, z, b in chain]
 
@@ -754,14 +762,13 @@ def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:
     space = s.space
     up = s.circ.value_rows((1 << space.n) - 1)
     down = transpose_rows(up, space.n)
-    point_closure = transpose_rows(space.min_open_rows, space.n)
     connected: dict[int, bool] = {}
     for x in range(space.n):
         for y in range(space.n):
             interval = up[x] & down[y]
             if not interval:
                 continue
-            closed = reach(interval, point_closure)
+            closed = reach(interval, space.closure_rows)
             ok = connected.get(closed)
             if ok is None:
                 ok = connected[closed] = is_connected_mask(space, closed)
@@ -828,8 +835,7 @@ def check_convex_cover_identity(s: Stream, open_set: Iterable[str]) -> tuple[boo
     mask = require_open_mask(space, space.mask_of(open_set))
     up = s.circ.value_rows((1 << space.n) - 1)
     down = transpose_rows(up, space.n)
-    point_closure = transpose_rows(space.min_open_rows, space.n)
-    eligible = sum(1 << p for p in iter_bits(mask) if not point_closure[p] & ~mask)
+    eligible = sum(1 << p for p in iter_bits(mask) if not space.closure_rows[p] & ~mask)
     for p in iter_bits(mask):
         mo = space.min_open_rows[p]
         if reach(mo, up) & reach(mo, down) & ~eligible:

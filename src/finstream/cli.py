@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 a requested check failed, 2 input or validation
 error. Reports are single JSON documents on stdout.
+
+Each call builds the argparse subparser of the command it runs only, from
+the ``COMMANDS`` table; the root ``--help`` and a missing or unknown
+command build all five. Help text, usage errors and exit codes are the
+same as with every subparser built.
 """
 
 from __future__ import annotations
@@ -327,6 +332,62 @@ def cmd_export(args) -> int:
     return 0
 
 
+# The --input and --output of every command but combine, whose --input
+# repeats.
+_INPUT = (("--input",), {"required": True, "help": "input file"})
+_OUTPUT = (("--output",), {"default": None, "help": "output file (default stdout)"})
+
+# Each command: its help line, its arguments as (flags, options) pairs for
+# ``add_argument``, in help order, and its handler.
+COMMANDS = {
+    "build": ("build a stream from a spec file", (_INPUT, _OUTPUT), cmd_build),
+    "check": (
+        "run checks on a stream file",
+        (
+            _INPUT,
+            _OUTPUT,
+            (
+                ("--which",),
+                {"choices": ("all", "circulation", "intervals", "antisymmetry"), "default": "all"},
+            ),
+            (("--mode",), {"choices": ("fast", "exhaustive"), "default": "fast"}),
+        ),
+        cmd_check,
+    ),
+    "query": (
+        "query one open's order",
+        (
+            _INPUT,
+            _OUTPUT,
+            (("--open",), {"required": True, "help": 'comma-joined points or "global"'}),
+            (("--witness",), {"action": "store_true", "help": "include a witness chain"}),
+            (("x",), {}),
+            (("y",), {}),
+        ),
+        cmd_query,
+    ),
+    "combine": (
+        "combine stream files",
+        (
+            (("operation",), {"choices": tuple(COMBINE)}),
+            (("--input",), {"action": "append", "default": [], "help": "input stream file"}),
+            (("--output",), {"default": None}),
+            (("--partition",), {"help": "JSON list of classes"}),
+            (("--points",), {"help": "JSON list of points"}),
+            (("--map",), {"help": "JSON object mapping points to points"}),
+            (("--space",), {"help": "space or stream file for map endpoints"}),
+            (("--diagram",), {"help": "diagram file for limit/colimit"}),
+        ),
+        cmd_combine,
+    ),
+    "export": (
+        "export a stream file",
+        (_INPUT, _OUTPUT, (("--fmt",), {"choices": ("json", "dot"), "default": "json"})),
+        cmd_export,
+    ),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error (an unknown option, a missing argument, a bad choice)
     is malformed input like any other: one ``error:`` line, exit 2.
@@ -336,57 +397,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of ``command`` alone when it names
+    a command, and with every command's otherwise (``--help``, a missing or
+    unknown command). A command's own help, its usage errors and its parsed
+    arguments do not depend on which other subparsers exist."""
     parser = _Parser(
         prog="finstream",
         description="Build, combine, and verify finite streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="input file")
-    common.add_argument("--output", default=None, help="output file (default stdout)")
-
-    p_build = sub.add_parser("build", parents=[common], help="build a stream from a spec file")
-    p_build.set_defaults(fn=cmd_build)
-
-    p_check = sub.add_parser("check", parents=[common], help="run checks on a stream file")
-    p_check.add_argument(
-        "--which",
-        choices=["all", "circulation", "intervals", "antisymmetry"],
-        default="all",
-    )
-    p_check.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
-    p_check.set_defaults(fn=cmd_check)
-
-    p_query = sub.add_parser("query", parents=[common], help="query one open's order")
-    p_query.add_argument("--open", required=True, help='comma-joined points or "global"')
-    p_query.add_argument("--witness", action="store_true", help="include a witness chain")
-    p_query.add_argument("x")
-    p_query.add_argument("y")
-    p_query.set_defaults(fn=cmd_query)
-
-    p_combine = sub.add_parser("combine", help="combine stream files")
-    p_combine.add_argument("operation", choices=list(COMBINE))
-    p_combine.add_argument("--input", action="append", default=[], help="input stream file")
-    p_combine.add_argument("--output", default=None)
-    p_combine.add_argument("--partition", help="JSON list of classes")
-    p_combine.add_argument("--points", help="JSON list of points")
-    p_combine.add_argument("--map", help="JSON object mapping points to points")
-    p_combine.add_argument("--space", help="space or stream file for map endpoints")
-    p_combine.add_argument("--diagram", help="diagram file for limit/colimit")
-    p_combine.set_defaults(fn=cmd_combine)
-
-    p_export = sub.add_parser("export", parents=[common], help="export a stream file")
-    p_export.add_argument("--fmt", choices=["json", "dot"], default="json")
-    p_export.set_defaults(fn=cmd_export)
-
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_line, arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (StreamError, OSError) as exc:

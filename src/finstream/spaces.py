@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import closure_rows, gather_rows, image_rows, iter_bits
+from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
 from .errors import (
     InvalidPartition,
     MissingPoint,
@@ -56,6 +56,12 @@ class FiniteSpace:
 
     def set_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.points[i] for i in iter_bits(mask))
+
+    @cached_property
+    def closure_rows(self) -> tuple[int, ...]:
+        """Each point's closure, the points whose minimal open holds it:
+        the converse of ``min_open_rows``."""
+        return tuple(transpose_rows(self.min_open_rows, self.n))
 
     def min_open(self, x: str) -> frozenset[str]:
         return self.set_of(self.min_open_rows[self.index(x)])
@@ -134,11 +140,7 @@ def closure_set(space: FiniteSpace, subset: Iterable[str]) -> frozenset[str]:
 
 
 def closure_mask(space: FiniteSpace, mask: int) -> int:
-    out = 0
-    for i in range(space.n):
-        if space.min_open_rows[i] & mask:
-            out |= 1 << i
-    return out
+    return reach(mask, space.closure_rows)
 
 
 def specialization_preorder(space: FiniteSpace) -> Preorder:

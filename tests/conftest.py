@@ -50,6 +50,7 @@ from finstream import (
     tuple_point,
 )
 from finstream._kernels import closure_rows
+from finstream.circulation import _related_indices, _shortest_chain
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import FormatError, InvalidPartition, NotRelated, UnknownPoint
 from finstream.formats import (
@@ -534,6 +535,32 @@ def chain_witness_oracle(s, open_set, x, y):
                 nxt.append(b)
         frontier = nxt
     raise AssertionError("related pair admits no generator chain")
+
+
+def chain_witness_all_generators(s, open_set, x, y):
+    """chain_witness trying, at every point it expands, every generator of
+    the open in point order, not only those whose minimal open holds the
+    point."""
+    space = s.space
+    mask = require_open_mask(space, space.mask_of(open_set))
+    _related_indices(space, mask, s.circ.value_rows(mask), x, y, "the open set")
+    gens = [(space.points[z], s.circ._gen_rows[z]) for z in iter_bits(mask)]
+    chain = _shortest_chain(
+        space.index(x), space.index(y), lambda a: ((z, rows[a]) for z, rows in gens)
+    )
+    return [(space.points[a], z, space.points[b]) for a, z, b in chain]
+
+
+def alternating_witness_fixed_steps(s, u, v, x, y):
+    """alternating_witness searching, at every point, a fixed tuple of the
+    two opens' value rows, U's before V's; the pair must be related."""
+    space = s.space
+    steps = (("U", s.circ.value_rows(space.mask_of(u))), ("V", s.circ.value_rows(space.mask_of(v))))
+    chain = _shortest_chain(
+        space.index(x), space.index(y), lambda a: ((label, rows[a]) for label, rows in steps)
+    )
+    points = (x,) + tuple(space.points[b] for _, _, b in chain)
+    return AlternatingChain(points, tuple(label for _, label, _ in chain))
 
 
 def alternating_witness_oracle(s, u, v, x, y):

@@ -21,6 +21,7 @@ from finstream import (
     StreamDiagram,
     all_opens,
     alternating_witness,
+    boundary_square,
     chain_witness,
     chaotic_precirculation,
     check_antisymmetric_convexity,
@@ -75,7 +76,9 @@ from finstream.relations import iter_bits
 from finstream.spaces import closure_mask, space_from_min_opens
 
 from conftest import (
+    alternating_witness_fixed_steps,
     alternating_witness_oracle,
+    chain_witness_all_generators,
     chain_witness_oracle,
     closure_oracle,
     connected_intervals_oracle,
@@ -664,6 +667,7 @@ class TestWitnessesReproducible:
                         chain = alternating_witness(s, u, v, x, y)
                         assert len(chain) == len(alternating_witness_oracle(s, u, v, x, y))
                         assert validate_alternating_witness(s, u, v, x, y, chain)
+                        assert chain == alternating_witness_fixed_steps(s, u, v, x, y)
 
     def test_errors_match_label_search_oracle(self):
         s = directed_interval(3)
@@ -701,6 +705,30 @@ class TestChainWitness:
                     for y in space.points:
                         expected = self.outcome(chain_witness_oracle, s, open_set, x, y)
                         assert self.outcome(chain_witness, s, open_set, x, y) == expected
+
+    def test_matches_all_generators_search(self, corpus_streams):
+        """Trying at each point only the generators whose minimal open holds
+        it gives the chain the search over every generator gives: on every
+        related pair of every open of the corpus streams on up to 4 points,
+        and of the whole space and each minimal open of four models."""
+        models = [directed_interval(5), directed_circle(4), directed_square(3, 3), boundary_square(2)]
+        longest = 0
+        for s in [t for t in corpus_streams if t.space.n <= 4] + models:
+            space = s.space
+            if space.n <= 4:
+                opens = open_sets(space)
+            else:
+                opens = [space.points] + [space.min_open(x) for x in space.points]
+            for open_set in opens:
+                mask = space.mask_of(open_set)
+                rows = s.circ.value_rows(mask)
+                for i in iter_bits(mask):
+                    for j in iter_bits(rows[i]):
+                        x, y = space.points[i], space.points[j]
+                        chain = chain_witness(s, open_set, x, y)
+                        assert chain == chain_witness_all_generators(s, open_set, x, y)
+                        longest = max(longest, len(chain))
+        assert longest >= 4
 
     @pytest.mark.parametrize(
         "open_set, x, y, error, message",

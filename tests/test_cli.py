@@ -1,10 +1,12 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from finstream import directed_circle, directed_interval, point_stream, trivial_stream, tuple_point
-from finstream.cli import main
+from finstream.cli import COMBINE, main, make_parser
 from finstream.errors import StreamError
 from finstream.formats import (
     canonical_dumps,
@@ -529,11 +531,104 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_help_is_unchanged(capsys):
+HELP = Path(__file__).resolve().parent / "help"
+
+
+def test_help_is_unchanged(monkeypatch, capsys):
+    """The help text of the root and of each command, at 80 columns, as the
+    parser with every subparser built printed it; tests/help holds one file
+    for each."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in (None, "build", "check", "query", "combine", "export"):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"] if command is None else [command, "--help"])
+        assert caught.value.code == 0
+        captured = capsys.readouterr()
+        expected = (HELP / f"{command or 'root'}.txt").read_text(encoding="utf-8")
+        assert (captured.out, captured.err) == (expected, "")
+
+
+PARSED = [
+    ["build", "--input", "s.json"],
+    ["build", "--input=s.json", "--output", "o.json"],
+    ["build", "--input", "a.json", "--input", "b.json", "--output=x", "--output", "y"],
+    ["check", "--input", "s.json"],
+    ["check", "--input", "s.json", "--which", "intervals", "--mode", "exhaustive"],
+    ["check", "--which=antisymmetry", "--which", "circulation", "--input", "s.json"],
+    ["query", "--input", "s.json", "--open", "global", "v0", "v1"],
+    ["query", "v0", "--open=v0,e1", "e1", "--witness", "--input=s.json", "--output", "o"],
+    ["query", "--input", "s.json", "--open", "a", "--open", "b", "x", "y", "--witness", "--witness"],
+    ["export", "--input", "s.json"],
+    ["export", "--input", "s.json", "--fmt", "dot", "--output", "s.dot"],
+    ["export", "--fmt=dot", "--fmt", "json", "--input", "s.json"],
+    ["combine", "join", "--input=a.json", "--input", "b.json", "--input", "c.json"],
+    ["combine", "product", "--output", "x", "--output=y"],
+    ["combine", "quotient", "--input", "a", "--partition", '[["v0","v1"]]', "--partition=[]"],
+    ["combine", "substream", "--input", "a", "--points", '["v0"]'],
+    ["combine", "pushforward", "--input", "a", "--space", "t.json", "--map", '{"v0":"v0"}'],
+    ["combine", "pullback-cosheafify", "--input", "a", "--space=s", "--map={}"],
+    ["combine", "limit", "--diagram", "d.json"],
+    ["combine", "colimit", "--diagram=d.json", "--diagram", "e.json"],
+] + [["combine", op] for op in COMBINE]
+
+EXITS = [
+    [],
+    ["bogus"],
+    ["--bogus"],
+    ["--input", "s.json"],
+    ["combine"],
+    ["combine", "nope"],
+    ["combine", "join", "--input", "s.json", "--bogus"],
+    ["export"],
+    ["export", "--input", "s.json", "--fmt", "svg"],
+    ["check", "--input", "s.json", "--which", "cycles"],
+    ["check", "--input", "s.json", "--mode"],
+    ["query", "--input", "s.json", "--open", "global", "v0"],
+    ["query", "--input", "s.json"],
+    ["build", "--input"],
+    ["build", "--input", "s.json", "extra"],
+    ["build", "--input", "s.json", "check"],
+    ["build", "--help", "--bogus"],
+    ["combine", "--help"],
+    ["-h"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace, or the exit code and both streams of an exit (a usage
+    error or help)."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSED + EXITS, ids=" ".join)
+def test_command_parser_matches_full_parser(monkeypatch, capsys, argv):
+    """The parser main builds, with the subparser of argv[0] alone, parses
+    every argv, or exits on it, as the parser with all five subparsers does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parse(make_parser(argv[0] if argv else None), argv, capsys)
+    assert got == _parse(make_parser(), argv, capsys)
+    if argv in PARSED:
+        assert isinstance(got, dict) and got["command"] == argv[0]
+    else:
+        assert isinstance(got, tuple)
+
+
+def test_known_command_builds_its_subparser_only(capsys):
+    with pytest.raises(SystemExit):
+        make_parser("build").parse_args(["check", "--input", "s.json"])
+    assert "invalid choice: 'check' (choose from 'build')" in capsys.readouterr().err
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["finstream", "query", "--help"])
     with pytest.raises(SystemExit) as caught:
-        main(["export", "--help"])
+        main()
     assert caught.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: finstream export")
+    assert capsys.readouterr().out.startswith("usage: finstream query")
 
 
 @pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "output-directory"])

@@ -93,6 +93,10 @@ class TestEnumerationOracle:
                 direct.add(circ)
             assert direct == set(enumerate_circulations(space))
 
+    def test_enumeration_cache_is_bounded(self):
+        maxsize = enumerate_circulations.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
     def test_cosheafify_matches_oracle(self, rng, tiny_spaces):
         for space in tiny_spaces:
             for _ in range(4):

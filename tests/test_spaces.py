@@ -106,6 +106,17 @@ class TestOpensAndClosure:
             assert interior(space, space.points) == set(space.points)
             assert closure_set(space, set()) == set()
 
+    def test_closure_is_complement_of_largest_open_outside(self, tiny_spaces):
+        """Against the definition, on every subset of every space on up to 4
+        points; each space's closure rows are computed once."""
+        for space in tiny_spaces + all_spaces(4):
+            opens = open_sets(space)
+            for r in range(space.n + 1):
+                for subset in itertools.combinations(space.points, r):
+                    outside = set().union(*(u for u in opens if not u & set(subset)))
+                    assert closure_set(space, subset) == set(space.points) - outside
+            assert space.closure_rows is space.closure_rows
+
     def test_intersections_of_opens_are_open(self):
         for space in all_spaces(4):
             opens = open_sets(space)
