@@ -20,10 +20,10 @@ pullbacks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernels import iter_bits, reach, transpose_rows
+from ._record import Record
 from .circulation import (
     Stream,
     _final_lift,
@@ -43,11 +43,15 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class StreamMapCheck:
-    ok: bool
-    continuous: bool
-    witness: tuple[tuple[str, ...], str, str] | None = None
+class StreamMapCheck(Record):
+    _fields = ("ok", "continuous", "witness")
+
+    def __init__(
+        self, ok: bool, continuous: bool, witness: tuple[tuple[str, ...], str, str] | None = None
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "continuous", continuous)
+        object.__setattr__(self, "witness", witness)
 
 
 def is_stream_map(
@@ -82,23 +86,24 @@ def is_stream_map(
     return StreamMapCheck(True, True)
 
 
-@dataclass(frozen=True)
-class StreamMap:
+class StreamMap(Record):
     """A verified stream map; public construction re-checks the definition
     (identities, composites and the legs that universal constructions return
     are stream maps by construction and skip it, see
-    :meth:`_by_construction`)."""
+    :meth:`_by_construction`). Equality reads all three fields, the hash
+    only the source and target."""
 
-    source: Stream
-    target: Stream
-    mapping: dict[str, str] = field(hash=False)
+    _fields = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        check = is_stream_map(self.mapping, self.source, self.target)
+    def __init__(self, source: Stream, target: Stream, mapping: dict[str, str]):
+        check = is_stream_map(mapping, source, target)
         if not check.continuous:
             raise NotContinuous("not continuous, hence not a stream map")
         if not check.ok:
             raise NotStreamMap(f"order not preserved on {check.witness[0]!r}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def _by_construction(
@@ -112,6 +117,9 @@ class StreamMap:
         object.__setattr__(leg, "target", target)
         object.__setattr__(leg, "mapping", mapping)
         return leg
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target))
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -185,29 +193,32 @@ def coproduct_stream(
     return final_structure(space, list(zip(family, inclusions)))
 
 
-@dataclass(frozen=True)
-class DiagramArrow:
-    source: str
-    target: str
-    mapping: Mapping[str, str]
+class DiagramArrow(Record):
+    _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: str, target: str, mapping: Mapping[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
 
 
-@dataclass(frozen=True, eq=False)
-class StreamDiagram:
-    """Finitely many streams and stream maps between them, named."""
+class StreamDiagram(Record):
+    """Finitely many streams and stream maps between them, named; equal
+    only to itself."""
 
-    objects: Mapping[str, Stream]
-    arrows: Mapping[str, DiagramArrow]
+    _fields = ("objects", "arrows")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name, arrow in self.arrows.items():
-            if arrow.source not in self.objects or arrow.target not in self.objects:
+    def __init__(self, objects: Mapping[str, Stream], arrows: Mapping[str, DiagramArrow]):
+        for name, arrow in arrows.items():
+            if arrow.source not in objects or arrow.target not in objects:
                 raise IllTypedDiagram(f"arrow {name!r} references a missing object")
-            check = is_stream_map(
-                arrow.mapping, self.objects[arrow.source], self.objects[arrow.target]
-            )
+            check = is_stream_map(arrow.mapping, objects[arrow.source], objects[arrow.target])
             if not check.ok:
                 raise IllTypedDiagram(f"arrow {name!r} is not a stream map")
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "arrows", arrows)
 
     def object_keys(self) -> list[str]:
         return sorted(self.objects)

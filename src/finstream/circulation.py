@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._kernels import closure_rows, image_rows, iter_bits, reach, transpose_rows
+from ._record import Record
 from .errors import (
     CarrierMismatch,
     InvalidPreorder,
@@ -206,8 +206,7 @@ def _require_saturated(space: FiniteSpace, gen_rows: Sequence[Sequence[int]]) ->
                     raise InvalidPreorder(f"generator for {space.points[x]!r} is not saturated")
 
 
-@dataclass(frozen=True, init=False)
-class Circulation(Precirculation):
+class Circulation(Precirculation, Record):
     """A circulation stored once, as its generator rows ``_gen_rows``: one
     member per point, zero off that point's minimal open, saturated so that
     gen(x) is the join of the gens inside min_open(x), which is the value on
@@ -224,8 +223,7 @@ class Circulation(Precirculation):
     exactly "saturating changes nothing". The gluing and monotonicity checks
     accept a circulation without a scan."""
 
-    space: FiniteSpace
-    _gen_rows: tuple[tuple[int, ...], ...]
+    _fields = ("space", "_gen_rows")
 
     def __init__(self, space: FiniteSpace, gen: Sequence[Preorder]):
         rows = _embed_family(space, gen)
@@ -337,16 +335,16 @@ def _initial_lift(
     return _saturate(source, family)
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(Record):
     """A finite space together with a circulation on it."""
 
-    space: FiniteSpace
-    circ: Circulation
+    _fields = ("space", "circ")
 
-    def __post_init__(self):
-        if self.circ.space != self.space:
+    def __init__(self, space: FiniteSpace, circ: Circulation):
+        if circ.space != space:
             raise CarrierMismatch("circulation lives on a different space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "circ", circ)
 
     def value(self, open_set: Iterable[str]) -> Preorder:
         return self.circ.value(open_set)
@@ -414,20 +412,24 @@ def join_circulations(circs: Sequence[Circulation]) -> Circulation:
     return _saturate(space, *(c._gen_rows for c in circs))
 
 
-@dataclass(frozen=True)
-class CosheafWitness:
+class CosheafWitness(Record):
     """A failing instance of the gluing condition: a collection of opens and
     a pair related on one side of the equation but not the other."""
 
-    collection: tuple[tuple[str, ...], ...]
-    x: str
-    y: str
+    _fields = ("collection", "x", "y")
+
+    def __init__(self, collection: tuple[tuple[str, ...], ...], x: str, y: str):
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class CirculationCheck:
-    ok: bool
-    witness: CosheafWitness | None = None
+class CirculationCheck(Record):
+    _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: CosheafWitness | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
 
 def _least_mismatch(
@@ -619,14 +621,16 @@ def substream_circulation(s: Stream, points: Iterable[str]) -> tuple[FiniteSpace
     return sub, _initial_lift(sub, [({p: p for p in sub.points}, s)])
 
 
-@dataclass(frozen=True)
-class AlternatingChain:
+class AlternatingChain(Record):
     """A certificate for x related to y on a union of two opens: points
     x = p0, ..., pn = y with labels alternating between the opens, each step
     related in the labelled open's preorder."""
 
-    points: tuple[str, ...]
-    labels: tuple[str, ...]  # one of "U", "V" per step
+    _fields = ("points", "labels")
+
+    def __init__(self, points: tuple[str, ...], labels: tuple[str, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", labels)  # one of "U", "V" per step
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -8,9 +8,9 @@ equals the endpoint quotient of the directed interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .category import product_stream, substream
 from .circulation import (
     Circulation,
@@ -187,17 +187,25 @@ def stream_from_atlas(
     return stream_from_generators(space, gens)
 
 
-@dataclass(frozen=True)
-class PathologyFixture:
+class PathologyFixture(Record):
     """A pullback that is not a circulation: the two diagonal corners of the
     directed square are related globally, but only through opens containing
     interior cells, so pulling back onto the discrete two-corner subspace
     relates them on a disconnected space."""
 
-    host: Stream
-    corner_space: FiniteSpace
-    inclusion: Mapping[str, str]
-    pulled: Precirculation
+    _fields = ("host", "corner_space", "inclusion", "pulled")
+
+    def __init__(
+        self,
+        host: Stream,
+        corner_space: FiniteSpace,
+        inclusion: Mapping[str, str],
+        pulled: Precirculation,
+    ):
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "corner_space", corner_space)
+        object.__setattr__(self, "inclusion", inclusion)
+        object.__setattr__(self, "pulled", pulled)
 
     def cosheafified(self) -> Circulation:
         return cosheafify(self.pulled)

@@ -8,11 +8,11 @@ serialization order is canonical. Values are immutable and shareable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
+from ._record import Record
 from .errors import InvalidPreorder, StreamError, UnknownPoint
 
 
@@ -49,16 +49,18 @@ def _checked_rows(
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class Relation:
+class Relation(Record):
     """A binary relation: sorted carrier plus one successor bitmask per point.
 
     Direct construction trusts its arguments; use :meth:`build` to
     canonicalize and validate raw data.
     """
 
-    carrier: tuple[str, ...]
-    rows: tuple[int, ...]
+    _fields = ("carrier", "rows")
+
+    def __init__(self, carrier: tuple[str, ...], rows: tuple[int, ...]):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def build(cls, points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Relation":

@@ -9,11 +9,11 @@ the specialization preorder (x below y iff y lies in every neighborhood of x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
+from ._record import Record
 from .errors import (
     InvalidPartition,
     MissingPoint,
@@ -26,10 +26,12 @@ from .errors import (
 from .relations import Preorder, _by_unique_name, _tuple_rows, tuple_point
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    points: tuple[str, ...]
-    min_open_rows: tuple[int, ...]
+class FiniteSpace(Record):
+    _fields = ("points", "min_open_rows")
+
+    def __init__(self, points: tuple[str, ...], min_open_rows: tuple[int, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "min_open_rows", min_open_rows)
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -37,6 +38,7 @@ from finstream import (
     interior,
     is_connected,
     is_convex,
+    is_stream_map,
     join,
     join_circulations,
     point_stream,
@@ -52,7 +54,16 @@ from finstream import (
 from finstream._kernels import closure_rows
 from finstream.circulation import _related_indices, _shortest_chain
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
-from finstream.errors import FormatError, InvalidPartition, NotRelated, UnknownPoint
+from finstream.errors import (
+    CarrierMismatch,
+    FormatError,
+    IllTypedDiagram,
+    InvalidPartition,
+    NotContinuous,
+    NotRelated,
+    NotStreamMap,
+    UnknownPoint,
+)
 from finstream.formats import (
     PRECIRCULATION_FORMAT,
     STREAM_FORMAT,
@@ -619,6 +630,125 @@ def query_oracle(s, open_arg, x, y, witness):
         if len(steps) > 100:
             report["witness_truncated"] = True
     return canonical_dumps(report), 0 if related else 1
+
+
+class Former:
+    """The twelve records as ``dataclasses`` declared them: the decorator,
+    the fields with their defaults and hash flags, and the ``__post_init__``
+    checks, without the hand-written methods the current classes keep.
+    Oracles for what the decorator made: ``__init__``, ``__eq__``,
+    ``__hash__``, ``__repr__``, ``__match_args__`` and the frozen
+    ``__setattr__`` and ``__delattr__``."""
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class Relation:
+        carrier: tuple[str, ...]
+        rows: tuple[int, ...]
+
+    @dataclasses.dataclass(frozen=True)
+    class FiniteSpace:
+        points: tuple[str, ...]
+        min_open_rows: tuple[int, ...]
+
+    @dataclasses.dataclass(frozen=True, init=False)
+    class Circulation(Precirculation):
+        space: FiniteSpace
+        _gen_rows: tuple[tuple[int, ...], ...]
+
+    @dataclasses.dataclass(frozen=True)
+    class Stream:
+        space: FiniteSpace
+        circ: Circulation
+
+        def __post_init__(self):
+            if self.circ.space != self.space:
+                raise CarrierMismatch("circulation lives on a different space")
+
+    @dataclasses.dataclass(frozen=True)
+    class CosheafWitness:
+        collection: tuple[tuple[str, ...], ...]
+        x: str
+        y: str
+
+    @dataclasses.dataclass(frozen=True)
+    class CirculationCheck:
+        ok: bool
+        witness: CosheafWitness | None = None
+
+    @dataclasses.dataclass(frozen=True)
+    class AlternatingChain:
+        points: tuple[str, ...]
+        labels: tuple[str, ...]
+
+    @dataclasses.dataclass(frozen=True)
+    class StreamMapCheck:
+        ok: bool
+        continuous: bool
+        witness: tuple[tuple[str, ...], str, str] | None = None
+
+    @dataclasses.dataclass(frozen=True)
+    class StreamMap:
+        source: Stream
+        target: Stream
+        mapping: dict[str, str] = dataclasses.field(hash=False)
+
+        def __post_init__(self):
+            check = is_stream_map(self.mapping, self.source, self.target)
+            if not check.continuous:
+                raise NotContinuous("not continuous, hence not a stream map")
+            if not check.ok:
+                raise NotStreamMap(f"order not preserved on {check.witness[0]!r}")
+
+    @dataclasses.dataclass(frozen=True)
+    class DiagramArrow:
+        source: str
+        target: str
+        mapping: Mapping[str, str]
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class StreamDiagram:
+        objects: Mapping[str, Stream]
+        arrows: Mapping[str, DiagramArrow]
+
+        def __post_init__(self):
+            for name, arrow in self.arrows.items():
+                if arrow.source not in self.objects or arrow.target not in self.objects:
+                    raise IllTypedDiagram(f"arrow {name!r} references a missing object")
+                check = is_stream_map(
+                    arrow.mapping, self.objects[arrow.source], self.objects[arrow.target]
+                )
+                if not check.ok:
+                    raise IllTypedDiagram(f"arrow {name!r} is not a stream map")
+
+    @dataclasses.dataclass(frozen=True)
+    class PathologyFixture:
+        host: Stream
+        corner_space: FiniteSpace
+        inclusion: Mapping[str, str]
+        pulled: Precirculation
+
+
+# The generated repr names the class by its qualified name, as it was at top level.
+for _former in vars(Former).values():
+    if isinstance(_former, type):
+        _former.__qualname__ = _former.__name__
+
+
+def former_class(record):
+    """The former declaration of a record's class; a Preorder's is Relation."""
+    return next(
+        getattr(Former, c.__name__) for c in type(record).__mro__ if hasattr(Former, c.__name__)
+    )
+
+
+def former_record(record):
+    """The former record holding the same field values (the same objects),
+    made without its ``__init__``."""
+    cls = former_class(record)
+    old = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        object.__setattr__(old, f.name, getattr(record, f.name))
+    return old
 
 
 @pytest.fixture(scope="session")

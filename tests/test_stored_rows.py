@@ -8,7 +8,6 @@ Preorders are compared with those versions, kept in ``conftest`` as oracles.
 """
 
 import contextlib
-import dataclasses
 import io
 import random
 import re
@@ -90,11 +89,21 @@ def random_atlas(rng, space):
 
 class TestOneStoredForm:
     def test_fields_are_space_and_rows(self):
-        assert [f.name for f in dataclasses.fields(Circulation)] == ["space", "_gen_rows"]
         circ = directed_interval(2).circ
         assert "gen" not in vars(circ)
         gen = circ.gen
         assert circ.gen is gen and len(gen) == circ.space.n
+        # equality and hashing read the space and the rows only: a copy with its
+        # own cold memo and no gen is equal and hashes the same
+        whole = (1 << circ.space.n) - 1
+        circ.value_rows(whole)
+        twin = Circulation._by_construction(circ.space, circ._gen_rows)
+        assert "gen" not in vars(twin) and whole not in twin._memo
+        assert twin == circ and hash(twin) == hash(circ)
+        # other rows on the same space, or another space, make it unequal
+        other = specialization_circulation(circ.space)
+        assert other._gen_rows != circ._gen_rows and other != circ
+        assert directed_interval(3).circ != circ
 
     def test_public_constructor_round_trips(self, corpus_streams):
         for s in corpus_streams + model_streams():
