@@ -44,8 +44,6 @@ from .circulation import (
     chaotic_precirculation,
     check_antisymmetric_convexity,
     check_connected_intervals,
-    check_convex_cover_identity,
-    check_convex_restriction,
     check_monotone,
     check_pseudo_circulation,
     circulation_from_generators,
@@ -54,7 +52,6 @@ from .circulation import (
     half_cosheaf_holds,
     is_circulation,
     join_circulations,
-    preorder_on_open,
     pullback,
     pushforward,
     specialization_circulation,
@@ -62,7 +59,6 @@ from .circulation import (
     substream_circulation,
     trivial_circulation,
     trivial_stream,
-    underlying_preorder,
     validate_alternating_witness,
 )
 from .errors import StreamError

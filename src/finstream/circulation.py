@@ -31,7 +31,6 @@ from .errors import (
     InvalidPreorder,
     MissingPoint,
     NeighborhoodConditionFailed,
-    NotConvex,
     NotRelated,
     UnknownPoint,
 )
@@ -39,7 +38,6 @@ from .relations import Preorder, all_preorders, is_convex, join
 from .spaces import (
     FiniteSpace,
     all_opens,
-    closure_mask,
     interior,
     is_connected_mask,
     require_continuous,
@@ -379,11 +377,6 @@ def stream_from_generators(space: FiniteSpace, gens: Mapping[str, Preorder]) -> 
     return Stream(space, circulation_from_generators(space, gens))
 
 
-def preorder_on_open(s: Stream, open_set: Iterable[str]) -> Preorder:
-    """The stream's preorder on an open set; join of the generators over it."""
-    return s.value(open_set)
-
-
 def trivial_circulation(space: FiniteSpace) -> Circulation:
     """Only the diagonal on every open: the saturation of no generators."""
     return _saturate(space)
@@ -609,11 +602,6 @@ def pullback(
     return Precirculation(src_space, compute)
 
 
-def underlying_preorder(s: Stream) -> Preorder:
-    """The value on the whole space: the global reachability preorder."""
-    return s.underlying()
-
-
 def substream_circulation(s: Stream, points: Iterable[str]) -> tuple[FiniteSpace, Circulation]:
     """Universal circulation on a subspace: the initial lift over the
     inclusion."""
@@ -781,24 +769,6 @@ def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:
     return True, None
 
 
-def check_convex_restriction(s: Stream, points: Iterable[str]) -> bool:
-    """For a convex subset A of the underlying preorder, the restriction of
-    the value on any open neighborhood of A's closure equals the restriction
-    of the underlying preorder.
-
-    Values grow with the open, up to the underlying preorder, so the
-    restriction to A of the value on any such open lies between the one on
-    the smallest, the union of the closure's minimal opens, and the
-    underlying one: comparing at that smallest open decides."""
-    subset = frozenset(points)
-    under = s.underlying()
-    if not is_convex(under, subset):
-        raise NotConvex(f"{sorted(subset)!r} is not convex in the underlying preorder")
-    closed = closure_mask(s.space, s.space.mask_of(subset))
-    smallest = reach(closed, s.space.min_open_rows)
-    return s.value_mask(smallest).restrict(subset) == under.restrict(subset)
-
-
 def check_pseudo_circulation(s: Stream, family: Sequence[Iterable[str]]) -> bool:
     """Gluing over a family of (not necessarily open) subsets, each a
     neighborhood of every point of the union it contains: the value on the
@@ -818,36 +788,6 @@ def check_pseudo_circulation(s: Stream, family: Sequence[Iterable[str]]) -> bool
     )
     via_restrictions = join([big.restrict(a) for a in sets], carrier=carrier)
     return big == via_substreams == via_restrictions
-
-
-def check_convex_cover_identity(s: Stream, open_set: Iterable[str]) -> tuple[bool, bool | None]:
-    """Probe for recovering a local value from global data: when every point
-    of the open set has a convex neighborhood whose closure stays inside the
-    set, the value on the set equals the join of the underlying preorder
-    restricted to the convex subsets with closure inside the set.
-
-    Returns (hypothesis_holds, identity_holds_or_None).
-
-    Decided from convex hulls, with no subset enumeration. A subset has
-    closure inside the set iff its points are eligible (their closures are
-    inside), and the least convex set holding S is up(S) & down(S) in the
-    underlying preorder. So a point p is covered iff the hull of
-    min_open(p) is eligible, and x <= y lie in one eligible convex subset
-    iff the interval up(x) & down(y) is eligible: the right-hand side is the
-    closure on the set of those pairs."""
-    space = s.space
-    mask = require_open_mask(space, space.mask_of(open_set))
-    up = s.circ.value_rows((1 << space.n) - 1)
-    down = transpose_rows(up, space.n)
-    eligible = sum(1 << p for p in iter_bits(mask) if not space.closure_rows[p] & ~mask)
-    for p in iter_bits(mask):
-        mo = space.min_open_rows[p]
-        if reach(mo, up) & reach(mo, down) & ~eligible:
-            return False, None
-    rows = [0] * space.n
-    for x in iter_bits(eligible):
-        rows[x] = sum(1 << y for y in iter_bits(up[x] & eligible) if not up[x] & down[y] & ~eligible)
-    return True, s.circ.value_rows(mask) == closure_rows(rows, space.n, list(iter_bits(mask)))
 
 
 def check_antisymmetric_convexity(s: Stream) -> tuple[bool, bool]:

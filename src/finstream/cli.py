@@ -188,6 +188,9 @@ def cmd_query(args) -> int:
     space = stream.space
     if args.open == "global":
         members = sorted(space.points)
+    elif args.open.startswith("["):
+        # a JSON list names any point, "(a,b)" and "global" included
+        members = _point_names(_parse_json_arg(args.open, "--open"), "--open")
     else:
         members = [p for p in args.open.split(",") if p]
     ix, iy = space.index(args.x), space.index(args.y)  # UnknownPoint on junk names
@@ -359,7 +362,10 @@ COMMANDS = {
         (
             _INPUT,
             _OUTPUT,
-            (("--open",), {"required": True, "help": 'comma-joined points or "global"'}),
+            (
+                ("--open",),
+                {"required": True, "help": '"global", a JSON list of points or comma-joined points'},
+            ),
             (("--witness",), {"action": "store_true", "help": "include a witness chain"}),
             (("x",), {}),
             (("y",), {}),

@@ -48,10 +48,6 @@ class NotStreamMap(StreamError):
     """A continuous map that fails to preserve some open's order."""
 
 
-class NotConvex(StreamError):
-    """A set required to be convex in the ambient preorder is not."""
-
-
 class NotAntisymmetric(StreamError):
     """A preorder required to be a partial order is not."""
 

@@ -171,8 +171,9 @@ def cosheafify_by_enumeration(pc):
 
 
 def convex_restriction_oracle(s, points):
-    """check_convex_restriction on a convex subset, at every open that
-    contains the subset's closure."""
+    """For a subset convex in the underlying preorder: the value on every
+    open that contains the subset's closure restricts on the subset to the
+    underlying preorder's restriction."""
     subset = frozenset(points)
     under = s.underlying()
     target = under.restrict(subset)
@@ -185,8 +186,12 @@ def convex_restriction_oracle(s, points):
 
 
 def convex_cover_identity_oracle(s, open_set):
-    """check_convex_cover_identity by enumerating every subset of the
-    eligible points (those whose closure stays in the open set)."""
+    """(hypothesis, identity) on an open set. The hypothesis: every point of
+    the set has a convex neighborhood whose closure stays inside the set.
+    The identity (None when the hypothesis fails): the value on the set is
+    the join of the underlying preorder restricted to the convex subsets
+    with closure inside the set. Decided by enumerating every subset of the
+    eligible points (those whose closure stays in the set)."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
     under = s.underlying()

