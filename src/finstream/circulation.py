@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._kernels import closure_rows, image_rows, iter_bits, reach, transpose_rows
 from ._record import Record
@@ -306,14 +306,43 @@ def _final_lift(
     return _saturate(target, family)
 
 
+def _preimage_rows(
+    source: FiniteSpace, fidx: Sequence[int], fibres: Sequence[int], s: Stream
+) -> Iterator[tuple[int, int, int]]:
+    """(x, a, mask) for each point x of the source and each a in
+    min_open(x), where f maps the source's point k to s's point fidx[k] and
+    ``fibres`` are f's fibres: mask is the preimage of row f(a) of s's
+    generator at f(x), the points b with f(a) <= f(b) on min_open(f(x)).
+    A circulation on the source makes f a stream map exactly when each of
+    its generator rows lies inside these masks."""
+    gens = s.circ._gen_rows
+    preimages: dict[int, int] = {}
+    for x, mo in enumerate(source.min_open_rows):
+        value = gens[fidx[x]]
+        for a in iter_bits(mo):
+            row = value[fidx[a]]
+            pre = preimages.get(row)
+            if pre is None:
+                pre = preimages[row] = reach(row, fibres)
+            yield x, a, pre
+
+
 def _initial_lift(
     source: FiniteSpace, legs: Sequence[tuple[Mapping[str, str], Stream]]
 ) -> Circulation:
     """The largest circulation on the source making every leg (f, s) a
-    stream map: the saturation of one family whose member at x relates a to
-    b on min_open(x) when every leg relates f(a) to f(b) on min_open(f(x)),
-    which is the leg's generator at f(x); with no legs, all of min_open(x)
-    (the chaotic value)."""
+    stream map: its generator at x relates a to b on min_open(x) when every
+    leg relates f(a) to f(b) on min_open(f(x)), which is the leg's generator
+    at f(x); with no legs, all of min_open(x) (the chaotic value).
+
+    This family is already saturated, so it is stored as it is, with no
+    closure. Each member is a preorder on min_open(x): the chaotic one cut
+    down by preimages of preorders, each reflexive on the image of
+    min_open(x) by continuity. For y in min_open(x), min_open(y) lies in
+    min_open(x) and f(y) in min_open(f(x)), so each leg's saturated
+    generator at f(y) lies inside the one at f(x), and the member at y
+    inside the member at x. The test suite checks that saturating the
+    family returns it unchanged."""
     family = [[0] * source.n for _ in range(source.n)]
     for mo, rows in zip(source.min_open_rows, family):
         for a in iter_bits(mo):
@@ -322,15 +351,9 @@ def _initial_lift(
         require_continuous(f, source, s.space)
         fidx = [s.space.index(f[p]) for p in source.points]
         fibres = transpose_rows([1 << t for t in fidx], s.space.n)
-        preimages: dict[int, int] = {}
-        for x, rows in enumerate(family):
-            value = s.circ._gen_rows[fidx[x]]
-            for a in iter_bits(source.min_open_rows[x]):
-                row = value[fidx[a]]
-                if row not in preimages:
-                    preimages[row] = reach(row, fibres)
-                rows[a] &= preimages[row]
-    return _saturate(source, family)
+        for x, a, pre in _preimage_rows(source, fidx, fibres, s):
+            family[x][a] &= pre
+    return Circulation._by_construction(source, tuple(tuple(rows) for rows in family))
 
 
 class Stream(Record):
@@ -624,34 +647,31 @@ class AlternatingChain(Record):
         return len(self.labels)
 
 
-def _related_indices(
-    space: FiniteSpace, mask: int, rows: Sequence[int], x: str, y: str, where: str
-) -> tuple[int, int]:
-    """The indices of x and y, both in the mask and related by the rows;
-    UnknownPoint or NotRelated otherwise."""
+def _indices_in(space: FiniteSpace, mask: int, x: str, y: str, where: str) -> tuple[int, int]:
+    """The indices of x and y, both in the mask; UnknownPoint otherwise."""
     if x in space and y in space:
         i, j = space.index(x), space.index(y)
         if mask >> i & 1 and mask >> j & 1:
-            if rows[i] >> j & 1:
-                return i, j
-            raise NotRelated(f"{x!r} is not below {y!r} on {where}")
+            return i, j
     raise UnknownPoint(f"{x!r} or {y!r} outside {where}")
 
 
 def _shortest_chain(
     x: int, y: int, steps: Callable[[int], Iterable[tuple[str, int]]]
-) -> list[tuple[int, str, int]]:
+) -> list[tuple[int, str, int]] | None:
     """Breadth-first search over point indices from x to y. ``steps(a)``
     yields the (label, row) steps out of a, each leading to every bit of
     row. Returns the first shortest chain found as (a, label, b) triples,
-    empty when x == y; points are expanded in frontier order, then steps in
-    the order yielded, then targets in point order."""
+    empty when x == y, or None when y is not reachable; points are expanded
+    in frontier order, then steps in the order yielded, then targets in
+    point order. Reachability is the closure of the steps, so the search
+    decides the pair without closing any value."""
     parents: dict[int, tuple[int, str]] = {}
     seen = 1 << x
     frontier = [x]
     while not seen >> y & 1:
         if not frontier:
-            raise AssertionError("related pair admits no chain")
+            return None
         nxt = []
         for a in frontier:
             for label, row in steps(a):
@@ -680,14 +700,16 @@ def alternating_witness(
     The chain is a shortest one over the steps of the two opens' values, U's
     before V's, found in point order, so it is the same in every process.
     Each value is transitive, so two consecutive steps in one open would
-    make a shorter chain: a shortest chain alternates."""
+    make a shorter chain: a shortest chain alternates. The union's value is
+    the closure of those steps, so the search also decides the pair."""
     space = s.space
     umask = require_open_mask(space, space.mask_of(u))
     vmask = require_open_mask(space, space.mask_of(v))
-    both = umask | vmask
-    i, j = _related_indices(space, both, s.circ.value_rows(both), x, y, "the union")
+    i, j = _indices_in(space, umask | vmask, x, y, "the union")
     urows, vrows = s.circ.value_rows(umask), s.circ.value_rows(vmask)
     chain = _shortest_chain(i, j, lambda a: (("U", urows[a]), ("V", vrows[a])))
+    if chain is None:
+        raise NotRelated(f"{x!r} is not below {y!r} on the union")
     points = (x,) + tuple(space.points[b] for _, _, b in chain)
     return AlternatingChain(points, tuple(label for _, label, _ in chain))
 
@@ -717,6 +739,29 @@ def validate_alternating_witness(
     return True
 
 
+def _generator_chain(
+    s: Stream, mask: int, i: int, j: int
+) -> list[tuple[str, str, str]] | None:
+    """A shortest chain of generator steps (a, z, b) from point i to point j
+    on the open mask, or None when the open's value does not relate them.
+
+    Steps out of a come from the generators of the mask's points z, in
+    point order, and only from the z whose minimal open holds a: every
+    other generator's row at a is zero. The value on the mask is the
+    closure of those steps, so no value is closed here."""
+    space = s.space
+    gens = s.circ._gen_rows
+
+    def steps(a: int):
+        for z in iter_bits(space.closure_rows[a] & mask):
+            yield space.points[z], gens[z][a]
+
+    chain = _shortest_chain(i, j, steps)
+    if chain is None:
+        return None
+    return [(space.points[a], z, space.points[b]) for a, z, b in chain]
+
+
 def chain_witness(
     s: Stream, open_set: Iterable[str], x: str, y: str
 ) -> list[tuple[str, str, str]]:
@@ -725,20 +770,16 @@ def chain_witness(
     This is the gluing decomposition for the canonical minimal-open cover.
 
     The chain is a shortest one over the generators of the set's points,
-    found in point order, so it is the same in every process. A step out of
-    a is tried only for the z whose minimal open holds a: every other
-    generator's row at a is zero."""
+    found in point order, so it is the same in every process. Raises
+    UnknownPoint when x or y lies outside the set and NotRelated when the
+    set's preorder does not relate them."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
-    i, j = _related_indices(space, mask, s.circ.value_rows(mask), x, y, "the open set")
-    gens = s.circ._gen_rows
-
-    def steps(a: int):
-        for z in iter_bits(space.closure_rows[a] & mask):
-            yield space.points[z], gens[z][a]
-
-    chain = _shortest_chain(i, j, steps)
-    return [(space.points[a], z, space.points[b]) for a, z, b in chain]
+    i, j = _indices_in(space, mask, x, y, "the open set")
+    chain = _generator_chain(s, mask, i, j)
+    if chain is None:
+        raise NotRelated(f"{x!r} is not below {y!r} on the open set")
+    return chain
 
 
 def check_connected_intervals(s: Stream) -> tuple[bool, tuple[str, str] | None]:

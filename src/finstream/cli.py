@@ -31,7 +31,7 @@ from .category import (
 from .circulation import (
     Precirculation,
     Stream,
-    chain_witness,
+    _generator_chain,
     check_connected_intervals,
     is_circulation,
     join_circulations,
@@ -195,8 +195,9 @@ def cmd_query(args) -> int:
         members = [p for p in args.open.split(",") if p]
     ix, iy = space.index(args.x), space.index(args.y)  # UnknownPoint on junk names
     mask = require_open_mask(space, space.mask_of(members))
-    rows = stream.circ.value_rows(mask)
-    related = bool(mask >> ix & 1 and mask >> iy & 1 and rows[ix] >> iy & 1)
+    # the shortest generator chain decides the pair and is the witness
+    chain = _generator_chain(stream, mask, ix, iy) if mask >> ix & 1 and mask >> iy & 1 else None
+    related = chain is not None
     report: dict = {
         "open": sorted(set(members)),
         "x": args.x,
@@ -204,12 +205,10 @@ def cmd_query(args) -> int:
         "related": related,
     }
     if related and args.witness:
-        steps = chain_witness(stream, members, args.x, args.y)
-        capped = steps[:100]
         report["witness"] = [
-            {"from": a, "via_star_of": z, "to": b} for a, z, b in capped
+            {"from": a, "via_star_of": z, "to": b} for a, z, b in chain[:100]
         ]
-        if len(steps) > 100:
+        if len(chain) > 100:
             report["witness_truncated"] = True
     _write_output(canonical_dumps(report), args.output)
     return 0 if related else 1

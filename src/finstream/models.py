@@ -71,7 +71,8 @@ def directed_interval(n: int) -> Stream:
             chain.append((f"e{i}", f"e{i + 1}"))
         pairs = list(chain) + [(p, p) for p in table[f"v{i}"]]
         gens[f"v{i}"] = Preorder.build(table[f"v{i}"], pairs)
-    return stream_from_generators(space, gens)
+    # each star's chain holds its edges' identities: saturated as built
+    return Stream(space, Circulation(space, [gens[x] for x in space.points]))
 
 
 def interval_endpoint_partition(n: int) -> list[list[str]]:
@@ -102,7 +103,8 @@ def directed_circle(n: int) -> Stream:
         pairs += [(p, p) for p in star]
         gens[f"v{i}"] = Preorder.build(star, pairs)
     space = space_from_min_opens(table.keys(), table)
-    return stream_from_generators(space, gens)
+    # each star's chain holds its edges' identities: saturated as built
+    return Stream(space, Circulation(space, [gens[x] for x in space.points]))
 
 
 def directed_square(n: int, m: int) -> Stream:

@@ -52,7 +52,7 @@ from finstream import (
     tuple_point,
 )
 from finstream._kernels import closure_rows
-from finstream.circulation import _related_indices, _shortest_chain
+from finstream.circulation import _indices_in, _shortest_chain
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import (
     CarrierMismatch,
@@ -559,11 +559,11 @@ def chain_witness_all_generators(s, open_set, x, y):
     point."""
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
-    _related_indices(space, mask, s.circ.value_rows(mask), x, y, "the open set")
+    i, j = _indices_in(space, mask, x, y, "the open set")
     gens = [(space.points[z], s.circ._gen_rows[z]) for z in iter_bits(mask)]
-    chain = _shortest_chain(
-        space.index(x), space.index(y), lambda a: ((z, rows[a]) for z, rows in gens)
-    )
+    chain = _shortest_chain(i, j, lambda a: ((z, rows[a]) for z, rows in gens))
+    if chain is None:
+        raise NotRelated(f"{x!r} is not below {y!r} on the open set")
     return [(space.points[a], z, space.points[b]) for a, z, b in chain]
 
 
