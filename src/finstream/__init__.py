@@ -14,7 +14,6 @@ from .category import (
     DiagramArrow,
     StreamDiagram,
     StreamMap,
-    box_identity_report,
     colimit,
     compose,
     coproduct_stream,
@@ -42,10 +41,8 @@ from .circulation import (
     alternating_witness,
     chain_witness,
     chaotic_precirculation,
-    check_antisymmetric_convexity,
     check_connected_intervals,
     check_monotone,
-    check_pseudo_circulation,
     circulation_from_generators,
     cosheafify,
     enumerate_circulations,

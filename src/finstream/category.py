@@ -33,7 +33,7 @@ from .circulation import (
     substream_circulation,
 )
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
-from .relations import product, tuple_point
+from .relations import tuple_point
 from .spaces import (
     FiniteSpace,
     _tuple_space,
@@ -421,27 +421,3 @@ def _is_full_stream_iso(s: Stream, t: Stream, f: Mapping[str, str]) -> bool:
         if relabeled != set(t.gen_of(f[p]).pairs()):
             return False
     return True
-
-
-def box_identity_report(
-    s: Stream, t: Stream, prod: Stream | None = None
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Diagnostic: on which pairs of opens (U, V) does the product stream's
-    value on U x V differ from the componentwise product of the values?
-    Reported, never asserted; an empty list means the identity held."""
-    if prod is None:
-        prod, _, _ = product_stream(s, t)
-    failures = []
-    for umask in all_opens(s.space):
-        uvalue = s.value_mask(umask)
-        upoints = s.space.set_of(umask)
-        for vmask in all_opens(t.space):
-            vvalue = t.value_mask(vmask)
-            vpoints = t.space.set_of(vmask)
-            box = [tuple_point(x, y) for x in upoints for y in vpoints]
-            expected = product([uvalue, vvalue])
-            if prod.value(box) != expected:
-                failures.append(
-                    (tuple(sorted(upoints)), tuple(sorted(vpoints)))
-                )
-    return failures

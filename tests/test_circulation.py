@@ -22,12 +22,11 @@ from finstream import (
     all_opens,
     alternating_witness,
     boundary_square,
+    bounded_interval,
     chain_witness,
     chaotic_precirculation,
-    check_antisymmetric_convexity,
     check_connected_intervals,
     check_monotone,
-    check_pseudo_circulation,
     circulation_from_generators,
     colimit,
     cosheafify,
@@ -62,7 +61,6 @@ from finstream.corpus import (
 from finstream.errors import (
     CarrierMismatch,
     MissingPoint,
-    NeighborhoodConditionFailed,
     NotOpen,
     NotRelated,
     UnknownPoint,
@@ -74,6 +72,7 @@ from finstream.spaces import closure_mask, space_from_min_opens
 from conftest import (
     alternating_witness_fixed_steps,
     alternating_witness_oracle,
+    antisymmetric_convexity_oracle,
     chain_witness_all_generators,
     chain_witness_oracle,
     closure_oracle,
@@ -83,6 +82,7 @@ from conftest import (
     full_carrier_join,
     model_streams,
     open_sets,
+    pseudo_circulation_oracle,
 )
 
 
@@ -621,9 +621,8 @@ class TestAlternatingWitness:
 
 
 WITNESS_SCRIPT = """
-from finstream import check_pseudo_circulation, directed_interval, directed_square
+from finstream import directed_square
 from finstream.circulation import alternating_witness, chain_witness
-from finstream.errors import NeighborhoodConditionFailed
 
 s = directed_square(3, 3)
 u = s.space.min_open("(v1,v1)")
@@ -633,10 +632,6 @@ value = s.value(union)
 for x in value.carrier:
     for y in sorted(value.image_set(x)):
         print(x, y, alternating_witness(s, u, v, x, y), chain_witness(s, union, x, y))
-try:
-    check_pseudo_circulation(directed_interval(3), [["v0", "v1", "v2", "v3"]])
-except NeighborhoodConditionFailed as exc:
-    print(exc)
 """
 
 
@@ -657,7 +652,6 @@ class TestWitnessesReproducible:
         assert len(outputs) == 1
         (text,) = outputs
         assert text.count("AlternatingChain") == 90  # the union's related pairs
-        assert text.endswith("no member is a neighborhood of 'v0'\n")
 
     def test_alternating_matches_label_search_oracle(self):
         rng = random.Random(11)
@@ -774,6 +768,24 @@ class TestConnectedIntervals:
         for s in corpus_streams + model_streams() + larger:
             assert check_connected_intervals(s) == connected_intervals_oracle(s)
 
+    def test_chain_proof(self, corpus_streams):
+        """The proof the CLI answers from: for x <= p <= y, the generator
+        chains from x to p and from p to y stay inside [x, y], and each step
+        (a, z, b) has a and b in min_open(z), so z lies in cl{a} and cl{b}.
+        cl([x, y]) is then a chain of connected closures."""
+        for s in corpus_streams + model_streams():
+            space = s.space
+            under = s.underlying()
+            full = space.points
+            for x in full:
+                for y in under.image_set(x):
+                    interval = bounded_interval(under, x, y)
+                    for p in interval:
+                        for chain in (chain_witness(s, full, x, p), chain_witness(s, full, p, y)):
+                            for a, z, b in chain:
+                                assert {a, b} <= space.min_open(z)
+                                assert {a, b} <= interval
+
     def test_failure_matches_point_set_oracle(self):
         # x's generator leaves its minimal open and relates y to x on a
         # discrete space, so the closure of [y, x] is disconnected.
@@ -814,24 +826,24 @@ class TestPseudoCirculations:
             if s.space.n == 0:
                 continue
             family = [s.space.min_open(x) for x in s.space.points]
-            assert check_pseudo_circulation(s, family)
+            assert pseudo_circulation_oracle(s, family)
 
     def test_whole_space_family(self, corpus_streams):
         for s in corpus_streams[:12]:
             if s.space.n == 0:
                 continue
-            assert check_pseudo_circulation(s, [s.space.points])
+            assert pseudo_circulation_oracle(s, [s.space.points])
 
     def test_neighborhood_condition_enforced(self):
         s = directed_interval(1)
-        with pytest.raises(NeighborhoodConditionFailed):
-            check_pseudo_circulation(s, [["v0"]])
+        with pytest.raises(ValueError):
+            pseudo_circulation_oracle(s, [["v0"]])
 
     def test_least_failing_point_named(self):
         # every vertex fails: its minimal open holds edges outside the family
         s = directed_interval(3)
-        with pytest.raises(NeighborhoodConditionFailed, match="of 'v0'$"):
-            check_pseudo_circulation(s, [["v0", "v1", "v2", "v3"]])
+        with pytest.raises(ValueError, match="of 'v0'$"):
+            pseudo_circulation_oracle(s, [["v0", "v1", "v2", "v3"]])
 
     def test_random_valid_families(self, rng, corpus_streams):
         from finstream.spaces import interior
@@ -848,7 +860,7 @@ class TestPseudoCirculations:
                 if all(
                     any(p in interior(s.space, a) for a in family) for p in union
                 ):
-                    assert check_pseudo_circulation(s, family)
+                    assert pseudo_circulation_oracle(s, family)
 
 
 class TestConvexCoverIdentity:
@@ -871,18 +883,18 @@ class TestConvexCoverIdentity:
 class TestAntisymmetricConvexity:
     def test_corpus(self, corpus_streams):
         for s in corpus_streams:
-            hyp, anti = check_antisymmetric_convexity(s)
+            hyp, anti = antisymmetric_convexity_oracle(s)
             if hyp:
                 assert anti
 
     def test_interval_satisfies_hypotheses(self):
-        hyp, anti = check_antisymmetric_convexity(directed_interval(2))
+        hyp, anti = antisymmetric_convexity_oracle(directed_interval(2))
         assert hyp and anti
 
     def test_circle_hypothesis_fails(self):
         # underlying preorder is full, so stars are not convex; T0 alone
         # cannot force antisymmetry
-        hyp, anti = check_antisymmetric_convexity(directed_circle(2))
+        hyp, anti = antisymmetric_convexity_oracle(directed_circle(2))
         assert not hyp and not anti
 
 

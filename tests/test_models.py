@@ -7,7 +7,6 @@ from finstream import (
     Preorder,
     all_opens,
     boundary_square,
-    check_antisymmetric_convexity,
     check_connected_intervals,
     directed_circle,
     directed_interval,
@@ -34,7 +33,7 @@ from finstream.errors import (
 from finstream.models import boundary_points
 from finstream.relations import Relation, product as rel_product
 
-from conftest import closure_oracle
+from conftest import antisymmetric_convexity_oracle, closure_oracle
 
 
 class TestDirectedInterval:
@@ -151,7 +150,7 @@ class TestBoundarySquare:
 
     def test_antisymmetric_with_convex_base(self):
         s = boundary_square(1)
-        hyp, anti = check_antisymmetric_convexity(s)
+        hyp, anti = antisymmetric_convexity_oracle(s)
         assert anti
 
     def test_underlying_is_closure_of_shared_face_steps(self):
@@ -353,6 +352,6 @@ class TestModelInvariants:
             assert is_circulation(s.circ.as_precirculation(), "fast").ok
             ok, _ = check_connected_intervals(s)
             assert ok
-            hyp, anti = check_antisymmetric_convexity(s)
+            hyp, anti = antisymmetric_convexity_oracle(s)
             if hyp:
                 assert anti
