@@ -53,7 +53,6 @@ from .circulation import (
     pushforward,
     specialization_circulation,
     stream_from_generators,
-    substream_circulation,
     trivial_circulation,
     trivial_stream,
     validate_alternating_witness,

@@ -23,15 +23,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernels import iter_bits, reach, transpose_rows
+from ._kernels import image_rows, iter_bits, reach, transpose_rows
 from ._record import Record
-from .circulation import (
-    Stream,
-    _final_lift,
-    _initial_lift,
-    _preimage_rows,
-    substream_circulation,
-)
+from .circulation import Stream, _final_lift, _initial_lift, _preimage_rows
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
 from .relations import tuple_point
 from .spaces import (
@@ -42,6 +36,7 @@ from .spaces import (
     is_continuous,
     product_space,
     quotient_space,
+    subspace,
 )
 
 
@@ -182,8 +177,9 @@ def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
 
 def substream(s: Stream, points: Iterable[str]) -> tuple[Stream, StreamMap]:
     """Subspace with the initial structure over the inclusion."""
-    stream = Stream(*substream_circulation(s, points))
-    return stream, StreamMap._by_construction(stream, s, {p: p for p in stream.space.points})
+    space = subspace(s.space, points)
+    stream, (leg,) = initial_structure(space, [({p: p for p in space.points}, s)])
+    return stream, leg
 
 
 def quotient_stream(
@@ -242,40 +238,28 @@ def _product_many(
     """The compatible tuples of the spaces, as a subspace of their product.
 
     A tuple t is compatible when mapping[t[i]] == t[j] for every arrow
-    (i, j, mapping). Coordinates are assigned in order and each arrow is
-    tested as soon as both of its ends are assigned, so an arrow from an
-    earlier coordinate forces the later one and only compatible tuples are
-    built. The subspace comes from :func:`spaces._tuple_space`, so a single
-    factor keeps its own point names and one-object limits return the
-    object itself (cut down by its self-loops)."""
-    k = len(spaces)
-    forced: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
-    checked: list[list[tuple[int, Mapping[str, str]]]] = [[] for _ in range(k)]
+    (i, j, mapping). Tuples are built level by level, one coordinate per
+    level: the first arrow from an earlier coordinate forces the new one,
+    and every other arrow is tested at the level where both of its ends are
+    assigned (a self-loop at its own), so only compatible tuples are built.
+    The subspace comes from :func:`spaces._tuple_space`, so a single factor
+    keeps its own point names and one-object limits return the object
+    itself (cut down by its self-loops)."""
+    forcing: list[tuple[int, Mapping[str, str]] | None] = [None] * len(spaces)
+    tests: list[list[tuple[int, int, Mapping[str, str]]]] = [[] for _ in spaces]
     for i, j, mapping in arrows:
-        if i < j:
-            forced[j].append((i, mapping))
+        if i < j and forcing[j] is None:
+            forcing[j] = (i, mapping)
         else:
-            checked[i].append((j, mapping))
-    combo: list[str] = [""] * k
-    combos: list[tuple[str, ...]] = []
-
-    def extend(j: int) -> None:
-        if j == k:
-            combos.append(tuple(combo))
-            return
-        if forced[j]:
-            i, mapping = forced[j][0]
-            candidates: Sequence[str] = (mapping[combo[i]],)
+            tests[max(i, j)].append((i, j, mapping))
+    combos: list[tuple[str, ...]] = [()]
+    for j, space in enumerate(spaces):
+        if forcing[j] is None:
+            grown = [c + (x,) for c in combos for x in space.points]
         else:
-            candidates = spaces[j].points
-        for x in candidates:
-            combo[j] = x
-            if all(mapping[combo[i]] == x for i, mapping in forced[j]) and all(
-                mapping[x] == combo[i] for i, mapping in checked[j]
-            ):
-                extend(j + 1)
-
-    extend(0)
+            i, mapping = forcing[j]
+            grown = [c + (mapping[c[i]],) for c in combos]
+        combos = [t for t in grown if all(m[t[a]] == t[b] for a, b, m in tests[j])]
     return _tuple_space(spaces, combos, "limit")
 
 
@@ -356,68 +340,58 @@ def enumerate_stream_maps(source: Stream, target: Stream) -> list[dict[str, str]
 def stream_isomorphism(s: Stream, t: Stream) -> dict[str, str] | None:
     """A point bijection carrying one stream onto the other, or None.
 
-    Backtracking over points grouped by local invariants (minimal-open size,
-    generator graph size, specialization degrees); intended for small models.
-    """
-    if s.space.n != t.space.n:
+    Backtracking over point indices grouped by local invariants (minimal-open
+    size, closure size, generator graph size); intended for small models.
+    A point is placed only where it keeps the minimal opens and closures of
+    the points already placed, so a full placement is a homeomorphism and
+    is accepted when it carries each generator onto the target's."""
+    n = s.space.n
+    if n != t.space.n:
         return None
 
-    def signature(stream: Stream, p: str) -> tuple:
+    def signatures(stream: Stream) -> list[tuple[int, int, int]]:
         space = stream.space
-        i = space.index(p)
-        mo = space.min_open_rows[i]
-        spec_in = sum(
-            1 for row in space.min_open_rows if row >> i & 1
-        )
-        return (mo.bit_count(), spec_in, stream.gen_of(p).graph_size())
+        return [
+            (mo.bit_count(), cl.bit_count(), sum(row.bit_count() for row in rows))
+            for mo, cl, rows in zip(space.min_open_rows, space.closure_rows, stream.circ._gen_rows)
+        ]
 
-    source_sigs = {p: signature(s, p) for p in s.space.points}
-    target_pool: dict[tuple, list[str]] = {}
-    for q in t.space.points:
-        target_pool.setdefault(signature(t, q), []).append(q)
-    if sorted(source_sigs.values()) != sorted(
-        sig for sig, qs in target_pool.items() for _ in qs
-    ):
+    source_sigs, target_sigs = signatures(s), signatures(t)
+    if sorted(source_sigs) != sorted(target_sigs):
         return None
-
-    order = sorted(s.space.points, key=lambda p: (source_sigs[p], p))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(p: str, q: str) -> bool:
-        for p2, q2 in assignment.items():
-            if (p2 in s.space.min_open(p)) != (q2 in t.space.min_open(q)):
-                return False
-            if (p in s.space.min_open(p2)) != (q in t.space.min_open(q2)):
-                return False
-        return True
+    target_pool: dict[tuple[int, int, int], list[int]] = {}
+    for q, sig in enumerate(target_sigs):
+        target_pool.setdefault(sig, []).append(q)
+    order = sorted(range(n), key=lambda p: (source_sigs[p], p))
+    smo, tmo = s.space.min_open_rows, t.space.min_open_rows
+    scl, tcl = s.space.closure_rows, t.space.closure_rows
+    sgen, tgen = s.circ._gen_rows, t.circ._gen_rows
+    mapped = [0] * n
+    images = [0] * n
+    placed = used = 0
 
     def extend(k: int) -> bool:
-        if k == len(order):
-            return _is_full_stream_iso(s, t, assignment)
+        nonlocal placed, used
+        if k == n:
+            return all(
+                image_rows(rows, mapped, [0] * n, iter_bits(mo)) == list(tgen[mapped[p]])
+                for p, (mo, rows) in enumerate(zip(smo, sgen))
+            )
         p = order[k]
-        for q in target_pool.get(source_sigs[p], []):
-            if q in used or not compatible(p, q):
+        for q in target_pool[source_sigs[p]]:
+            if (
+                used >> q & 1
+                or reach(smo[p] & placed, images) != tmo[q] & used
+                or reach(scl[p] & placed, images) != tcl[q] & used
+            ):
                 continue
-            assignment[p] = q
-            used.add(q)
+            mapped[p], images[p] = q, 1 << q
+            placed, used = placed | 1 << p, used | 1 << q
             if extend(k + 1):
                 return True
-            del assignment[p]
-            used.discard(q)
+            placed, used = placed ^ 1 << p, used ^ 1 << q
         return False
 
     if extend(0):
-        return dict(assignment)
+        return {s.space.points[p]: t.space.points[mapped[p]] for p in order}
     return None
-
-
-def _is_full_stream_iso(s: Stream, t: Stream, f: Mapping[str, str]) -> bool:
-    for p in s.space.points:
-        if {f[q] for q in s.space.min_open(p)} != t.space.min_open(f[p]):
-            return False
-        g = s.gen_of(p)
-        relabeled = {(f[a], f[b]) for a, b in g.pairs()}
-        if relabeled != set(t.gen_of(f[p]).pairs()):
-            return False
-    return True

@@ -40,7 +40,6 @@ from .spaces import (
     is_connected_mask,
     require_continuous,
     require_open_mask,
-    subspace,
 )
 
 def _embed_rows(p: Preorder, space: FiniteSpace) -> tuple[int, ...]:
@@ -621,13 +620,6 @@ def pullback(
         return tuple(rows)
 
     return Precirculation(src_space, compute)
-
-
-def substream_circulation(s: Stream, points: Iterable[str]) -> tuple[FiniteSpace, Circulation]:
-    """Universal circulation on a subspace: the initial lift over the
-    inclusion."""
-    sub = subspace(s.space, points)
-    return sub, _initial_lift(sub, [({p: p for p in sub.points}, s)])
 
 
 class AlternatingChain(Record):

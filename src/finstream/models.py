@@ -2,12 +2,14 @@
 
 Cell naming is fixed for reproducible serialization: vertices v0, v1, ...
 and edges e1, e2, ... with edges open and vertices closed; product points are
-named (p,q). The directed circle is built directly; the tests check that it
-equals the endpoint quotient of the directed interval.
+named (p,q). The directed interval and the directed circle come from one
+cell-chain builder; the tests check the interval against the atlas of its
+vertex stars and the circle against the interval's endpoint quotient.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
@@ -41,38 +43,35 @@ from .spaces import (
 )
 
 
+def _cell_chain(n: int, closed: bool) -> Stream:
+    """Edges e1, ..., en, each open, and vertices v0, v1, ..., each vertex
+    star ordered left edge <= vertex <= right edge as a total chain.
+    ``closed`` makes en the left edge of v0 and stops the vertices at
+    v(n-1); otherwise they run to vn, and the end vertices have one edge."""
+    table: dict[str, list[str]] = {f"e{i}": [f"e{i}"] for i in range(1, n + 1)}
+    for i in range(n if closed else n + 1):
+        chain = [f"v{i}"]
+        if i >= 1 or closed:
+            chain.insert(0, f"e{i or n}")
+        if i < n:
+            chain.append(f"e{i + 1}")
+        table[f"v{i}"] = chain
+    space = space_from_min_opens(table, table)
+    # each star's chain holds its edges' identities: saturated as built
+    gens = [
+        Preorder.build(table[x], itertools.combinations_with_replacement(table[x], 2))
+        for x in space.points
+    ]
+    return Stream(space, Circulation(space, gens))
+
+
 def directed_interval(n: int) -> Stream:
     """2n+1 cells v0, e1, v1, ..., en, vn; each vertex star is oriented
     left-edge <= vertex <= right-edge, so the global order is the total chain
     from v0 to vn."""
     if n < 1:
         raise InvalidSize("directed_interval needs n >= 1")
-    table: dict[str, set[str]] = {}
-    for i in range(1, n + 1):
-        table[f"e{i}"] = {f"e{i}"}
-    for i in range(n + 1):
-        star = {f"v{i}"}
-        if i >= 1:
-            star.add(f"e{i}")
-        if i < n:
-            star.add(f"e{i + 1}")
-        table[f"v{i}"] = star
-    space = space_from_min_opens(table.keys(), table)
-    gens: dict[str, Preorder] = {}
-    for i in range(1, n + 1):
-        gens[f"e{i}"] = Preorder.identity([f"e{i}"])
-    for i in range(n + 1):
-        chain = []
-        if i >= 1:
-            chain.append((f"e{i}", f"v{i}"))
-        if i < n:
-            chain.append((f"v{i}", f"e{i + 1}"))
-        if len(chain) == 2:
-            chain.append((f"e{i}", f"e{i + 1}"))
-        pairs = list(chain) + [(p, p) for p in table[f"v{i}"]]
-        gens[f"v{i}"] = Preorder.build(table[f"v{i}"], pairs)
-    # each star's chain holds its edges' identities: saturated as built
-    return Stream(space, Circulation(space, [gens[x] for x in space.points]))
+    return _cell_chain(n, closed=False)
 
 
 def interval_endpoint_partition(n: int) -> list[list[str]]:
@@ -89,22 +88,7 @@ def directed_circle(n: int) -> Stream:
     endpoint quotient of the directed interval, which the tests check."""
     if n < 2:
         raise InvalidSize("directed_circle needs n >= 2")
-    table: dict[str, set[str]] = {}
-    gens: dict[str, Preorder] = {}
-    for i in range(1, n + 1):
-        table[f"e{i}"] = {f"e{i}"}
-        gens[f"e{i}"] = Preorder.identity([f"e{i}"])
-    for i in range(n):
-        left = f"e{i}" if i >= 1 else f"e{n}"
-        right = f"e{i + 1}"
-        star = {left, f"v{i}", right}
-        table[f"v{i}"] = star
-        pairs = [(left, f"v{i}"), (f"v{i}", right), (left, right)]
-        pairs += [(p, p) for p in star]
-        gens[f"v{i}"] = Preorder.build(star, pairs)
-    space = space_from_min_opens(table.keys(), table)
-    # each star's chain holds its edges' identities: saturated as built
-    return Stream(space, Circulation(space, [gens[x] for x in space.points]))
+    return _cell_chain(n, closed=True)
 
 
 def directed_square(n: int, m: int) -> Stream:

@@ -48,8 +48,10 @@ from finstream import (
     pullback,
     space_from_min_opens,
     specialization_circulation,
+    stream_from_generators,
     subspace,
-    substream_circulation,
+    substream,
+    transitive_reflexive_closure,
     trivial_circulation,
     trivial_stream,
     tuple_point,
@@ -167,7 +169,7 @@ def pseudo_circulation_oracle(s, family):
     carrier = sorted(union)
     big = s.value(carrier)
     via_substreams = join(
-        [substream_circulation(s, a)[1].underlying() for a in sets], carrier=carrier
+        [substream(s, a)[0].underlying() for a in sets], carrier=carrier
     )
     via_restrictions = join([big.restrict(a) for a in sets], carrier=carrier)
     return big == via_substreams == via_restrictions
@@ -284,6 +286,40 @@ def continuity_oracle(f, src, dst):
         frozenset(p for p in src.points if f[p] in v) in src_opens
         for v in open_sets(dst)
     )
+
+
+def isomorphism_oracle(s, t):
+    """The definition, over every bijection of the points: one carrying the
+    opens of s onto the opens of t and the value of s on each open U onto
+    the value of t on the image of U; None when no bijection does."""
+    if s.space.n != t.space.n:
+        return None
+    s_opens = open_sets(s.space)
+    t_opens = set(open_sets(t.space))
+    for image in itertools.permutations(t.space.points):
+        f = dict(zip(s.space.points, image))
+        if {frozenset(f[p] for p in u) for u in s_opens} != t_opens:
+            continue
+        if all(
+            {(f[a], f[b]) for a, b in s.value(u).pairs()}
+            == set(t.value([f[p] for p in u]).pairs())
+            for u in s_opens
+        ):
+            return f
+    return None
+
+
+def relabelled(space, gens, rename):
+    """The stream from the generators with every point p renamed to
+    rename[p]."""
+    table = {rename[p]: [rename[q] for q in space.min_open(p)] for p in space.points}
+    renamed = {
+        rename[p]: transitive_reflexive_closure(
+            Relation.build(table[rename[p]], [(rename[a], rename[b]) for a, b in g.pairs()])
+        )
+        for p, g in gens.items()
+    }
+    return stream_from_generators(space_from_min_opens(table.keys(), table), renamed)
 
 
 def initial_structure_oracle(source, legs):
@@ -811,9 +847,15 @@ def former_record(record):
     return old
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return random.Random(20240811)
+# Each test draws from its own generator, seeded from its node id, and each
+# session corpus from its own fixed seed, so a test sees the same data run
+# alone, by -k or in the full suite.
+SEED = 20240811
+
+
+@pytest.fixture
+def rng(request):
+    return random.Random(f"{SEED}:{request.node.nodeid}")
 
 
 @pytest.fixture(scope="session")
@@ -822,17 +864,16 @@ def tiny_spaces():
     return spaces_upto(3)
 
 
-@pytest.fixture(scope="session")
-def small_spaces(rng):
+def make_small_spaces(seed=f"{SEED}:small_spaces"):
     """All spaces on up to 3 points plus a seeded sample of 4-point spaces."""
     sample = all_spaces(4)
-    picks = rng.sample(range(len(sample)), 40)
+    picks = random.Random(seed).sample(range(len(sample)), 40)
     return spaces_upto(3) + [sample[i] for i in picks]
 
 
-@pytest.fixture(scope="session")
-def corpus_streams(small_spaces, rng):
+def make_corpus_streams(small_spaces, seed=f"{SEED}:corpus_streams"):
     """Fixture models plus seeded random streams over the small spaces."""
+    rng = random.Random(seed)
     streams: list[Stream] = [
         directed_interval(1),
         directed_interval(2),
@@ -847,3 +888,13 @@ def corpus_streams(small_spaces, rng):
         streams.append(Stream(space, specialization_circulation(space)))
         streams.append(random_stream(rng, space))
     return streams
+
+
+@pytest.fixture(scope="session")
+def small_spaces():
+    return make_small_spaces()
+
+
+@pytest.fixture(scope="session")
+def corpus_streams(small_spaces):
+    return make_corpus_streams(small_spaces)

@@ -125,7 +125,7 @@ def test_criterion_1_directed_circle_phenomenon():
 
 def test_criterion_2_quotient_coherence():
     with Budget(2, 1.0):
-        for n in range(2, 6):
+        for n in range(2, 31):
             interval = directed_interval(n)
             space, projection = quotient_space(
                 interval.space, interval_endpoint_partition(n)

@@ -42,7 +42,14 @@ from finstream.errors import IllTypedDiagram, NotStreamMap, StreamError
 from finstream.formats import canonical_dumps, serialize_stream
 from finstream.spaces import space_from_min_opens
 
-from conftest import box_identity_oracle, limit_oracle, product_oracle, stream_map_witness_oracle
+from conftest import (
+    box_identity_oracle,
+    isomorphism_oracle,
+    limit_oracle,
+    product_oracle,
+    relabelled,
+    stream_map_witness_oracle,
+)
 
 
 def circle_rotation(n):
@@ -631,6 +638,33 @@ class TestLimitOracle:
         assert lim.space.n == 7 and built == [7]
         diagonal = {tuple_point(*[x] * 6): x for x in interval.space.points}
         assert all(leg.mapping == diagonal for leg in legs.values())
+
+
+class TestStreamIsomorphism:
+    def test_matches_brute_force(self, rng, corpus_streams):
+        # relabelled copies are isomorphic; other streams of the same size
+        # mostly are not, and many share the search's local invariants
+        small = [s for s in corpus_streams if s.space.n <= 4]
+        pairs = []
+        for s in rng.sample(small, 80):
+            names = [f"q{i}" for i in range(s.space.n)]
+            rng.shuffle(names)
+            gens = {p: s.gen_of(p) for p in s.space.points}
+            copy = relabelled(s.space, gens, dict(zip(s.space.points, names)))
+            same_size = [t for t in small if t.space.n == s.space.n]
+            pairs += [(s, copy), (copy, s), (s, rng.choice(same_size)), (copy, rng.choice(same_size))]
+        found = 0
+        for s, t in pairs:
+            iso = stream_isomorphism(s, t)
+            assert (iso is None) == (isomorphism_oracle(s, t) is None)
+            if iso is None:
+                continue
+            found += 1
+            assert sorted(iso) == list(s.space.points)
+            assert sorted(iso.values()) == list(t.space.points)
+            assert is_stream_map(iso, s, t).ok
+            assert is_stream_map({q: p for p, q in iso.items()}, t, s).ok
+        assert 160 <= found < len(pairs)
 
 
 class TestLegsByConstruction:

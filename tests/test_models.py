@@ -16,6 +16,8 @@ from finstream import (
     is_connected,
     pathology_fixture,
     point_stream,
+    quotient_stream,
+    space_from_min_opens,
     stream_from_atlas,
     stream_from_poset,
     stream_isomorphism,
@@ -30,7 +32,7 @@ from finstream.errors import (
     NotAntisymmetric,
     NotOpen,
 )
-from finstream.models import boundary_points
+from finstream.models import boundary_points, interval_endpoint_partition
 from finstream.relations import Relation, product as rel_product
 
 from conftest import antisymmetric_convexity_oracle, closure_oracle
@@ -64,6 +66,19 @@ class TestDirectedInterval:
             ok, _ = check_connected_intervals(directed_interval(n))
             assert ok
 
+    def test_equals_atlas_of_vertex_stars(self):
+        # each vertex star is a chart carrying its chain e_i <= v_i <= e_{i+1}
+        for n in range(1, 31):
+            table = {f"e{i}": [f"e{i}"] for i in range(1, n + 1)}
+            charts = []
+            for i in range(n + 1):
+                star = [c for c in (f"e{i}", f"v{i}", f"e{i + 1}") if c not in ("e0", f"e{n + 1}")]
+                table[f"v{i}"] = star
+                chain = transitive_reflexive_closure(Relation.build(star, zip(star, star[1:])))
+                charts.append((star, chain))
+            space = space_from_min_opens(table, table)
+            assert directed_interval(n) == stream_from_atlas(space, charts)
+
 
 class TestDirectedCircle:
     def test_rejects_bad_n(self):
@@ -83,9 +98,9 @@ class TestDirectedCircle:
         assert not value.has("e1", "v0") and not value.has("v0", "e2")
 
     def test_direct_equals_quotient_for_small_n(self):
-        # the constructor itself asserts equality; drive it for n up to 5
-        for n in range(2, 6):
-            directed_circle(n)
+        for n in range(2, 31):
+            glued, _ = quotient_stream(directed_interval(n), interval_endpoint_partition(n))
+            assert directed_circle(n) == glued
 
     def test_proper_arcs_carry_total_orders(self):
         for n in (2, 3, 4):

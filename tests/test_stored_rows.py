@@ -57,7 +57,12 @@ from finstream.formats import (
 )
 from finstream.models import interval_endpoint_partition
 
-from conftest import model_streams, specialization_circulation_oracle, stream_from_atlas_oracle
+from conftest import (
+    model_streams,
+    relabelled,
+    specialization_circulation_oracle,
+    stream_from_atlas_oracle,
+)
 
 
 def canonical(stream):
@@ -115,19 +120,6 @@ class TestOneStoredForm:
 
 def random_family(rng, space):
     return tuple(random_preorder(rng, sorted(space.min_open(x))) for x in space.points)
-
-
-def relabelled(space, gens, rename):
-    """The stream from the generators with every point p renamed to
-    rename[p]."""
-    table = {rename[p]: [rename[q] for q in space.min_open(p)] for p in space.points}
-    renamed = {
-        rename[p]: transitive_reflexive_closure(
-            Relation.build(table[rename[p]], [(rename[a], rename[b]) for a, b in g.pairs()])
-        )
-        for p, g in gens.items()
-    }
-    return stream_from_generators(space_from_min_opens(table.keys(), table), renamed)
 
 
 class TestEveryCirculationIsSaturated:
