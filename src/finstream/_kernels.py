@@ -3,9 +3,10 @@
 A relation on points 0..n-1 is one int row per point, bit j of row i
 meaning i is related to j. ``closure_rows`` closes such rows,
 ``gather_rows`` restricts them to a sub-carrier, ``image_rows`` relabels
-them along a point map, ``transpose_rows`` gives the converse relation and
-``reach`` ORs the rows at a mask's bits. Over the rows of a map's fibres,
-the converse of the rows ``1 << f[a]``, ``reach`` is a preimage.
+them along a point map, ``transpose_rows`` gives the converse relation,
+``reach`` ORs the rows at a mask's bits and ``is_acyclic`` asks whether the
+rows' graph has a cycle. Over the rows of a map's fibres, the converse of
+the rows ``1 << f[a]``, ``reach`` is a preimage.
 """
 
 BACKEND = "python"
@@ -111,3 +112,25 @@ def reach(mask, rows):
     for i in iter_bits(mask):
         out |= rows[i]
     return out
+
+
+def is_acyclic(rows):
+    """Whether the graph of the rows, self-loops aside, has no cycle.
+
+    Kahn's algorithm: count each point's incoming steps, then remove points
+    no remaining step enters; every point goes exactly when there is no
+    cycle. One pass over the steps, with no closure."""
+    indegree = [0] * len(rows)
+    for a, row in enumerate(rows):
+        for b in iter_bits(row & ~(1 << a)):
+            indegree[b] += 1
+    ready = [b for b, count in enumerate(indegree) if not count]
+    removed = 0
+    while ready:
+        a = ready.pop()
+        removed += 1
+        for b in iter_bits(rows[a] & ~(1 << a)):
+            indegree[b] -= 1
+            if not indegree[b]:
+                ready.append(b)
+    return removed == len(rows)

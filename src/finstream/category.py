@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernels import image_rows, iter_bits, reach, transpose_rows
+from ._kernels import iter_bits, reach, transpose_rows
 from ._record import Record
-from .circulation import Stream, _final_lift, _initial_lift, _preimage_rows
+from .circulation import Stream, _carries_generators, _final_lift, _initial_lift
 from .errors import IllTypedDiagram, NotContinuous, NotStreamMap
 from .relations import tuple_point
 from .spaces import (
@@ -71,8 +71,7 @@ def is_stream_map(
     fidx = [tgt.index(f[p]) for p in src.points]
     fibres = transpose_rows([1 << t for t in fidx], tgt.n)
     if mode == "fast":
-        gens = source.circ._gen_rows
-        if all(not gens[x][a] & ~pre for x, a, pre in _preimage_rows(src, fidx, fibres, target)):
+        if _carries_generators(source, fidx, fibres, target):
             return StreamMapCheck(True, True)
         masks = list(dict.fromkeys(tgt.min_open_rows))
     elif mode == "exhaustive":
@@ -341,19 +340,22 @@ def stream_isomorphism(s: Stream, t: Stream) -> dict[str, str] | None:
     """A point bijection carrying one stream onto the other, or None.
 
     Backtracking over point indices grouped by local invariants (minimal-open
-    size, closure size, generator graph size); intended for small models.
-    A point is placed only where it keeps the minimal opens and closures of
-    the points already placed, so a full placement is a homeomorphism and
-    is accepted when it carries each generator onto the target's."""
+    size, closure size, generator graph size), on an explicit stack, so the
+    depth is not bounded by the interpreter's recursion limit. A point is
+    placed only where it keeps the minimal opens and closures of the points
+    already placed, so a full placement is a homeomorphism and is accepted
+    when it carries each generator onto the target's. The search is
+    exponential in the worst case; on the models the invariants leave few
+    candidates per point."""
     n = s.space.n
     if n != t.space.n:
         return None
 
     def signatures(stream: Stream) -> list[tuple[int, int, int]]:
-        space = stream.space
+        space, circ = stream.space, stream.circ
         return [
-            (mo.bit_count(), cl.bit_count(), sum(row.bit_count() for row in rows))
-            for mo, cl, rows in zip(space.min_open_rows, space.closure_rows, stream.circ._gen_rows)
+            (mo.bit_count(), cl.bit_count(), sum(row.bit_count() for _, row in circ.gen_items(z)))
+            for z, (mo, cl) in enumerate(zip(space.min_open_rows, space.closure_rows))
         ]
 
     source_sigs, target_sigs = signatures(s), signatures(t)
@@ -365,33 +367,45 @@ def stream_isomorphism(s: Stream, t: Stream) -> dict[str, str] | None:
     order = sorted(range(n), key=lambda p: (source_sigs[p], p))
     smo, tmo = s.space.min_open_rows, t.space.min_open_rows
     scl, tcl = s.space.closure_rows, t.space.closure_rows
-    sgen, tgen = s.circ._gen_rows, t.circ._gen_rows
+    pools = [target_pool[source_sigs[p]] for p in order]
     mapped = [0] * n
     images = [0] * n
     placed = used = 0
 
-    def extend(k: int) -> bool:
-        nonlocal placed, used
-        if k == n:
-            return all(
-                image_rows(rows, mapped, [0] * n, iter_bits(mo)) == list(tgen[mapped[p]])
-                for p, (mo, rows) in enumerate(zip(smo, sgen))
-            )
-        p = order[k]
-        for q in target_pool[source_sigs[p]]:
-            if (
-                used >> q & 1
-                or reach(smo[p] & placed, images) != tmo[q] & used
-                or reach(scl[p] & placed, images) != tcl[q] & used
-            ):
-                continue
-            mapped[p], images[p] = q, 1 << q
-            placed, used = placed | 1 << p, used | 1 << q
-            if extend(k + 1):
-                return True
-            placed, used = placed ^ 1 << p, used ^ 1 << q
-        return False
+    def fits(p: int, q: int) -> bool:
+        return not (
+            used >> q & 1
+            or reach(smo[p] & placed, images) != tmo[q] & used
+            or reach(scl[p] & placed, images) != tcl[q] & used
+        )
 
-    if extend(0):
-        return {s.space.points[p]: t.space.points[mapped[p]] for p in order}
-    return None
+    def carries(p: int) -> bool:
+        q = mapped[p]
+        moved = {mapped[a]: reach(row, images) for a, row in s.circ.gen_items(p)}
+        return moved == dict(t.circ.gen_items(q))
+
+    # tried[k]: how many of level k's candidates have been taken; level k
+    # places order[k], and levels below k hold their current placements
+    tried = [0] * n
+    k = 0
+    while True:
+        if k == n:
+            if all(carries(p) for p in range(n)):
+                return {s.space.points[p]: t.space.points[mapped[p]] for p in order}
+        else:
+            p, pool = order[k], pools[k]
+            while tried[k] < len(pool) and not fits(p, pool[tried[k]]):
+                tried[k] += 1
+            if tried[k] < len(pool):
+                q = pool[tried[k]]
+                tried[k] += 1
+                mapped[p], images[p] = q, 1 << q
+                placed, used = placed | 1 << p, used | 1 << q
+                k += 1
+                continue
+            tried[k] = 0
+        if k == 0:
+            return None
+        k -= 1
+        p = order[k]
+        placed, used = placed ^ 1 << p, used ^ 1 << mapped[p]

@@ -3,10 +3,13 @@
 A circulation assigns a preorder to every open set so that the value on any
 union of opens is the join of the values on the members (the cosheaf/gluing
 condition). On a finite space the cover by minimal opens refines every cover,
-so a circulation is determined by its values on minimal opens; that family,
-as bitmask rows, is the only thing stored, and every other value is derived
-by joining. The determination is checked against a brute enumeration oracle in
-the test suite.
+so a circulation is determined by its values on minimal opens; that family
+is the only thing stored, and every other value is derived by joining. Each
+point keeps the bitmask rows of its minimal open's points only, in ascending
+point order (``FiniteSpace.min_open_positions``), so a circulation stores
+the sum of |min_open(x)| rows rather than n rows per point. The
+determination is checked against a brute enumeration oracle in the test
+suite.
 
 A precirculation only promises monotonicity under inclusion of opens; it is
 the raw material that cosheafification turns into the largest circulation
@@ -24,7 +27,7 @@ import threading
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._kernels import closure_rows, image_rows, iter_bits, reach, transpose_rows
+from ._kernels import closure_rows, image_rows, is_acyclic, iter_bits, reach, transpose_rows
 from ._record import Record
 from .errors import (
     CarrierMismatch,
@@ -175,9 +178,16 @@ def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
     return Precirculation(space, full)
 
 
+def _scatter(rows: list[int], items: Iterable[tuple[int, int]]) -> None:
+    """OR each (a, row) pair into the full-space rows at a."""
+    for a, row in items:
+        rows[a] |= row
+
+
 def _embed_family(space: FiniteSpace, gen: Sequence[Preorder]) -> tuple[tuple[int, ...], ...]:
     """One Preorder per point, each on exactly its point's minimal open
-    (``CarrierMismatch`` otherwise), as full-space rows."""
+    (``CarrierMismatch`` otherwise), as the rows of that open's points in
+    the space's numbering."""
     if len(gen) < space.n:
         raise CarrierMismatch(f"no generator for {space.points[len(gen)]!r}")
     if len(gen) > space.n:
@@ -185,28 +195,43 @@ def _embed_family(space: FiniteSpace, gen: Sequence[Preorder]) -> tuple[tuple[in
     for x, mo, p in zip(space.points, space.min_open_rows, gen):
         if frozenset(p.carrier) != space.set_of(mo):
             raise CarrierMismatch(f"generator for {x!r} is not on min_open({x!r})")
-    return tuple(_embed_rows(p, space) for p in gen)
+    family = []
+    for p in gen:
+        bits = [1 << space.index(x) for x in p.carrier]
+        # ascending bits are ascending positions in min_open(x)
+        family.append(tuple([reach(row, bits) for _, row in sorted(zip(bits, p.rows))]))
+    return tuple(family)
 
 
 def _require_saturated(space: FiniteSpace, gen_rows: Sequence[Sequence[int]]) -> None:
-    """The constructor's saturation test on a generator family as full-space
-    rows: gen(y) lies inside gen(x) for every y in min_open(x), otherwise
-    ``InvalidPreorder`` naming the least failing x."""
-    mos = space.min_open_rows
-    for x, big in enumerate(gen_rows):
-        for y in iter_bits(mos[x] & ~(1 << x)):
-            small = gen_rows[y]
-            for a in iter_bits(mos[y]):
-                if small[a] & ~big[a]:
+    """The constructor's saturation test on a generator family stored on the
+    minimal opens: gen(y) lies inside gen(x) for every y in min_open(x),
+    otherwise ``InvalidPreorder`` naming the least failing x. gen(x) is laid
+    out at its points in one working list, which then holds it on all of
+    min_open(y)."""
+    positions = space.min_open_positions
+    big = [0] * space.n
+    for x, where in enumerate(positions):
+        for a, row in zip(where, gen_rows[x]):
+            big[a] = row
+        for y in where:
+            if y == x:
+                continue
+            for a, row in zip(positions[y], gen_rows[y]):
+                if row & ~big[a]:
                     raise InvalidPreorder(f"generator for {space.points[x]!r} is not saturated")
 
 
 class Circulation(Precirculation, Record):
     """A circulation stored once, as its generator rows ``_gen_rows``: one
-    member per point, zero off that point's minimal open, saturated so that
-    gen(x) is the join of the gens inside min_open(x), which is the value on
-    min_open(x). Equality and hashing read the space and the rows; ``gen``
-    builds the Preorders on first read.
+    member per point x, holding the rows of min_open(x)'s points only, in
+    ascending point order, each a bitmask in the space's numbering. So
+    storing, loading, writing and lifting cost the sum of |min_open(x)|,
+    not n squared; ``gen_items(z)`` reads member z as (point index, row)
+    pairs. The family is saturated so that gen(x) is the join of
+    the gens inside min_open(x), which is the value on min_open(x).
+    Equality and hashing read the space and the rows; ``gen`` builds the
+    Preorders on first read.
 
     A circulation is its own precirculation: it joins the generator rows
     over each open and holds the one memo of those values. The constructor
@@ -242,13 +267,32 @@ class Circulation(Precirculation, Record):
 
     @cached_property
     def gen(self) -> tuple[Preorder, ...]:
+        space = self.space
         return tuple(
-            _extract_preorder(self.space, mo, rows)
-            for mo, rows in zip(self.space.min_open_rows, self._gen_rows)
+            _extract_preorder(space, mo, dict(self.gen_items(z)))
+            for z, mo in enumerate(space.min_open_rows)
         )
 
+    def gen_items(self, z: int) -> Iterator[tuple[int, int]]:
+        """The generator at point index z as (a, row) pairs: for each point a
+        of min_open(z), ascending, the bitmask of the b with a <= b. The
+        modules outside this one read the stored rows only through it."""
+        return zip(self.space.min_open_positions[z], self._gen_rows[z])
+
+    def _steps(self, points: Iterable[int]) -> list[int]:
+        """The generator steps of the given points as full-space rows: row a
+        is the union of gen(z)'s rows at a over those z, zero off their
+        minimal opens."""
+        rows = [0] * self.space.n
+        for z in points:
+            _scatter(rows, self.gen_items(z))
+        return rows
+
     def _compute(self, mask: int) -> tuple[int, ...]:
-        return _join_on(self.space, mask, (self._gen_rows[i] for i in iter_bits(mask)))
+        # an open holds the minimal open of each of its points, so the steps
+        # are zero off the mask, as _close_on_mask needs
+        positions = list(iter_bits(mask))
+        return _close_on_mask(self.space, positions, self._steps(positions))
 
     def gen_of(self, x: str) -> Preorder:
         return self.gen[self.space.index(x)]
@@ -265,6 +309,14 @@ class Circulation(Precirculation, Record):
     def underlying(self) -> Preorder:
         return self.value_mask((1 << self.space.n) - 1)
 
+    def underlying_is_antisymmetric(self) -> bool:
+        """Whether the underlying preorder is antisymmetric, decided without
+        closing it. That preorder is the reachability of the generator
+        steps, a to b whenever some gen(z) relates them, so it is
+        antisymmetric exactly when the steps, self-loops aside, form no
+        cycle."""
+        return is_acyclic(self._steps(range(self.space.n)))
+
     def as_precirculation(self) -> Circulation:
         return self
 
@@ -274,14 +326,23 @@ class Circulation(Precirculation, Record):
 
 
 def _saturate(space: FiniteSpace, *families: Sequence[Sequence[int]]) -> Circulation:
-    """The circulation generated by families of full-space rows, each holding
-    one generator per point (zero off that point's minimal open): gen(x) is
-    the join, inside min_open(x), of every family's generators of
-    min_open(x)'s points."""
-    return Circulation._by_construction(space, tuple(
-        _join_on(space, mo, (family[j] for j in iter_bits(mo) for family in families))
-        for mo in space.min_open_rows
-    ))
+    """The circulation generated by families stored as circulations are, one
+    generator per point on that point's minimal open: gen(x) is the join,
+    inside min_open(x), of every family's generators of min_open(x)'s
+    points. Each join is laid out in one working list, zeroed again after
+    its closure."""
+    positions = space.min_open_positions
+    rows = [0] * space.n
+    out = []
+    for where in positions:
+        for j in where:
+            for family in families:
+                _scatter(rows, zip(positions[j], family[j]))
+        closed = _close_on_mask(space, where, rows)
+        out.append(tuple([closed[a] for a in where]))
+        for a in where:
+            rows[a] = 0
+    return Circulation._by_construction(space, tuple(out))
 
 
 def _final_lift(
@@ -294,34 +355,63 @@ def _final_lift(
     Continuity puts the image of gen(y) inside min_open(f(y)), and the
     saturation closes each value, so no source value is closed here. With no
     legs every member is empty and the result is trivial."""
-    family = [[0] * target.n for _ in range(target.n)]
+    members: list[dict[int, int]] = [{} for _ in range(target.n)]
     for s, f in legs:
         require_continuous(f, s.space, target)
         fidx = [target.index(f[p]) for p in s.space.points]
-        for y, (mo, rows) in enumerate(zip(s.space.min_open_rows, s.circ._gen_rows)):
-            image_rows(rows, fidx, family[fidx[y]], iter_bits(mo))
+        images = [1 << t for t in fidx]
+        for y in range(s.space.n):
+            member = members[fidx[y]]
+            for a, row in s.circ.gen_items(y):
+                t = fidx[a]
+                member[t] = member.get(t, 0) | reach(row, images)
+    family = [
+        tuple([member.get(t, 0) for t in where])
+        for member, where in zip(members, target.min_open_positions)
+    ]
     return _saturate(target, family)
 
 
 def _preimage_rows(
     source: FiniteSpace, fidx: Sequence[int], fibres: Sequence[int], s: Stream
 ) -> Iterator[tuple[int, int, int]]:
-    """(x, a, mask) for each point x of the source and each a in
-    min_open(x), where f maps the source's point k to s's point fidx[k] and
-    ``fibres`` are f's fibres: mask is the preimage of row f(a) of s's
-    generator at f(x), the points b with f(a) <= f(b) on min_open(f(x)).
-    A circulation on the source makes f a stream map exactly when each of
-    its generator rows lies inside these masks."""
-    gens = s.circ._gen_rows
+    """(x, k, mask) for each point x of the source and the k-th point a of
+    min_open(x), where the continuous f maps the source's point i to s's
+    point fidx[i] and ``fibres`` are f's fibres: mask is the preimage of row
+    f(a) of s's generator at f(x), the points b with f(a) <= f(b) on
+    min_open(f(x)). A circulation on the source makes f a stream map
+    exactly when each of its generator rows lies inside these masks.
+
+    s's generator at f(x) is laid out at its points in a working list;
+    continuity puts every f(a) in min_open(f(x)), so only its rows are
+    read."""
+    value = [0] * s.space.n
+    laid = -1
     preimages: dict[int, int] = {}
-    for x, mo in enumerate(source.min_open_rows):
-        value = gens[fidx[x]]
-        for a in iter_bits(mo):
+    for x, where in enumerate(source.min_open_positions):
+        z = fidx[x]
+        if z != laid:
+            for b, row in s.circ.gen_items(z):
+                value[b] = row
+            laid = z
+        for k, a in enumerate(where):
             row = value[fidx[a]]
             pre = preimages.get(row)
             if pre is None:
                 pre = preimages[row] = reach(row, fibres)
-            yield x, a, pre
+            yield x, k, pre
+
+
+def _carries_generators(
+    source: Stream, fidx: Sequence[int], fibres: Sequence[int], target: Stream
+) -> bool:
+    """Whether the continuous f of :func:`_preimage_rows` carries every
+    generator row gen(y)[a] of the source into the target's gen(f(y))[f(a)]:
+    one mask test per stored row, no value closed."""
+    gens = source.circ._gen_rows
+    return all(
+        not gens[x][k] & ~pre for x, k, pre in _preimage_rows(source.space, fidx, fibres, target)
+    )
 
 
 def _initial_lift(
@@ -340,16 +430,15 @@ def _initial_lift(
     generator at f(y) lies inside the one at f(x), and the member at y
     inside the member at x. The test suite checks that saturating the
     family returns it unchanged."""
-    family = [[0] * source.n for _ in range(source.n)]
-    for mo, rows in zip(source.min_open_rows, family):
-        for a in iter_bits(mo):
-            rows[a] = mo
+    family = [
+        [mo] * len(where) for mo, where in zip(source.min_open_rows, source.min_open_positions)
+    ]
     for f, s in legs:
         require_continuous(f, source, s.space)
         fidx = [s.space.index(f[p]) for p in source.points]
         fibres = transpose_rows([1 << t for t in fidx], s.space.n)
-        for x, a, pre in _preimage_rows(source, fidx, fibres, s):
-            family[x][a] &= pre
+        for x, k, pre in _preimage_rows(source, fidx, fibres, s):
+            family[x][k] &= pre
     return Circulation._by_construction(source, tuple(tuple(rows) for rows in family))
 
 
@@ -410,8 +499,7 @@ def specialization_circulation(space: FiniteSpace) -> Circulation:
     """Restriction of the specialization preorder to each open set: at x,
     row a of min_open(x) is min_open(a)."""
     rows = space.min_open_rows
-    family = [tuple(rows[a] if mo >> a & 1 else 0 for a in range(space.n)) for mo in rows]
-    return _saturate(space, family)
+    return _saturate(space, [tuple([rows[a] for a in where]) for where in space.min_open_positions])
 
 
 def join_circulations(circs: Sequence[Circulation]) -> Circulation:
@@ -564,7 +652,11 @@ def cosheafify(pc: Precirculation) -> Circulation:
     below the input has each value below the corresponding join of
     minimal-open values, so this dominates them all; monotonicity of the
     input keeps the result below it."""
-    return _saturate(pc.space, [pc.rows_on(mo) for mo in pc.space.min_open_rows])
+    space = pc.space
+    values = (pc.rows_on(mo) for mo in space.min_open_rows)
+    return _saturate(space, [
+        tuple([rows[a] for a in where]) for rows, where in zip(values, space.min_open_positions)
+    ])
 
 
 @lru_cache(maxsize=128)
@@ -736,15 +828,18 @@ def _generator_chain(
     on the open mask, or None when the open's value does not relate them.
 
     Steps out of a come from the generators of the mask's points z, in
-    point order, and only from the z whose minimal open holds a: every
-    other generator's row at a is zero. The value on the mask is the
-    closure of those steps, so no value is closed here."""
+    point order, and only from the z whose minimal open holds a: no other
+    generator has a row at a. gen(z)'s row at a is its k-th, k the number
+    of min_open(z)'s points before a. The value on the mask is the closure
+    of those steps, so no value is closed here."""
     space = s.space
     gens = s.circ._gen_rows
+    mos = space.min_open_rows
 
     def steps(a: int):
+        before = (1 << a) - 1
         for z in iter_bits(space.closure_rows[a] & mask):
-            yield space.points[z], gens[z][a]
+            yield space.points[z], gens[z][(mos[z] & before).bit_count()]
 
     chain = _shortest_chain(i, j, steps)
     if chain is None:

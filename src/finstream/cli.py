@@ -37,7 +37,7 @@ from .circulation import (
 )
 from .errors import FormatError, StreamError
 from .formats import (
-    _parse_pairs,
+    _parse_preorder,
     _point_map,
     _point_names,
     _read_object,
@@ -49,7 +49,6 @@ from .formats import (
     stream_to_dot,
     stream_to_json,
 )
-from .relations import Preorder, Relation
 from .spaces import FiniteSpace, require_open_mask
 
 
@@ -117,8 +116,7 @@ def _build_from_spec(obj: dict) -> Stream:
         charts = []
         for chart in raw_charts:
             members = _point_names(_require(chart, "points"), "chart 'points'")
-            pairs = _parse_pairs(_require(chart, "order", list))
-            charts.append((members, Preorder.build(members, pairs)))
+            charts.append((members, _parse_preorder(members, _require(chart, "order", list))))
         return models.stream_from_atlas(space, charts)
     if "gen" in obj:
         return parse_stream(obj, strict=False)
@@ -154,9 +152,7 @@ def _check_stream(stream: Stream, which: str, mode: str) -> list[dict]:
         # and is the scan
         checks.append({"check": "intervals", "ok": True, "witness": None})
     if which in ("all", "antisymmetry"):
-        everything = (1 << stream.space.n) - 1
-        rows = stream.circ.value_rows(everything)
-        anti = Relation(stream.space.points, rows).is_antisymmetric()
+        anti = stream.circ.underlying_is_antisymmetric()
         checks.append({"check": "antisymmetry", "ok": anti, "witness": None})
     return checks
 

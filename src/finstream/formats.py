@@ -5,15 +5,16 @@ sorted point lists, graphs as sorted pair lists (reflexive pairs included),
 two-space indent, trailing newline. Serializing a parsed canonical file
 reproduces it byte for byte.
 
-Stream files are read into generator rows and written straight from them.
-Each point's pair list is checked by ``relations._checked_rows``, the one
-pair-table check, which ``Preorder.build`` runs too; a load builds no
-``Preorder``. ``stream_to_json`` emits the text
-``canonical_dumps(serialize_stream(s))`` would, without the dict or the
-pure-Python indenting encoder. ``serialize_stream``, the dict form, has no
-caller in the library and stays for the tests and the benchmark, which
-build diagram files from it; ``canonical_dumps`` writes reports, spaces and
-precirculations.
+Stream files are read into generator rows and written straight from them,
+each point's rows on its minimal open only. Each pair list of a file is
+read once by ``relations._checked_rows``, the one pair-table check, which
+``Preorder.build`` runs too: it checks each pair's shape and names and sets
+it straight into the rows; a stream load builds no ``Preorder``.
+``stream_to_json`` emits the text ``canonical_dumps(serialize_stream(s))``
+would, without the dict or the pure-Python indenting encoder.
+``serialize_stream``, the dict form, has no caller in the library and stays
+for the tests and the benchmark, which build diagram files from it;
+``canonical_dumps`` writes reports, spaces and precirculations.
 A file that lists a point twice is refused.
 """
 
@@ -33,7 +34,7 @@ from .circulation import (
     _saturate,
 )
 from .errors import FormatError
-from .relations import Preorder, _checked_rows
+from .relations import Preorder, _carrier_rows, _checked_rows
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"
@@ -50,9 +51,9 @@ def _names(points: tuple[str, ...], mask: int) -> list[str]:
     return [points[i] for i in iter_bits(mask)]
 
 
-def _row_pairs(points: tuple[str, ...], mask: int, rows) -> list[list[str]]:
-    """The graph of full-space rows on an open as a sorted pair list."""
-    return [[points[a], points[b]] for a in iter_bits(mask) for b in iter_bits(rows[a])]
+def _row_pairs(points: tuple[str, ...], items) -> list[list[str]]:
+    """The graph of (a, row) pairs, a ascending, as a sorted pair list."""
+    return [[points[a], points[b]] for a, row in items for b in iter_bits(row)]
 
 
 def _space_body(space: FiniteSpace) -> dict:
@@ -68,12 +69,11 @@ def serialize_space(space: FiniteSpace) -> dict:
 
 
 def serialize_stream(s: Stream) -> dict:
-    space = s.space
-    gen = zip(space.points, space.min_open_rows, s.circ._gen_rows)
+    points = s.space.points
     return {
         "format": STREAM_FORMAT,
-        **_space_body(space),
-        "gen": {x: _row_pairs(space.points, mo, rows) for x, mo, rows in gen},
+        **_space_body(s.space),
+        "gen": {x: _row_pairs(points, s.circ.gen_items(z)) for z, x in enumerate(points)},
     }
 
 
@@ -97,13 +97,13 @@ def stream_to_json(s: Stream) -> str:
     mid = ["\n      ],\n" + h for h in head]
     gen = []
     min_open = []
-    for key, mo, rows in zip(at4, space.min_open_rows, s.circ._gen_rows):
+    for z, (key, where) in enumerate(zip(at4, space.min_open_positions)):
         pairs = ",\n".join([
-            head[a] + mid[a].join([at8[b] for b in iter_bits(rows[a])]) + "\n      ]"
-            for a in iter_bits(mo)
+            head[a] + mid[a].join([at8[b] for b in iter_bits(row)]) + "\n      ]"
+            for a, row in s.circ.gen_items(z)
         ])
         gen.append(key + ": [\n" + pairs + "\n    ]")
-        min_open.append(key + ": [\n" + ",\n".join([at6[b] for b in iter_bits(mo)]) + "\n    ]")
+        min_open.append(key + ": [\n" + ",\n".join([at6[b] for b in where]) + "\n    ]")
     if not enc:
         return (
             '{\n  "format": "' + STREAM_FORMAT + '",\n  "gen": {},\n'
@@ -123,10 +123,13 @@ def stream_to_json(s: Stream) -> str:
 def serialize_precirculation(pc: Precirculation) -> dict:
     """Stored form: the values on every open."""
     points = pc.space.points
-    assign = [
-        {"open": _names(points, mask), "pairs": _row_pairs(points, mask, pc.rows_on(mask))}
-        for mask in sorted(all_opens(pc.space))
-    ]
+    assign = []
+    for mask in sorted(all_opens(pc.space)):
+        rows = pc.rows_on(mask)
+        assign.append({
+            "open": _names(points, mask),
+            "pairs": _row_pairs(points, [(a, rows[a]) for a in iter_bits(mask)]),
+        })
     exact = getattr(pc, "exact", True)
     return {
         "format": PRECIRCULATION_FORMAT,
@@ -147,19 +150,10 @@ def _require(obj: Mapping, key: str, kind=None):
     return value
 
 
-def _parse_pairs(raw) -> list[list[str]]:
-    """A JSON pair list: each pair a list of two point names."""
-    if not isinstance(raw, list):
-        raise FormatError("pairs must be lists of two point names")
-    for pair in raw:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and isinstance(pair[1], str)
-        ):
-            raise FormatError("pairs must be lists of two point names")
-    return raw
+def _parse_preorder(points, raw) -> Preorder:
+    """A JSON pair list as a preorder on the points: ``Preorder.build``'s
+    checks, with the pairs' shape checked as they are read."""
+    return Preorder(*_carrier_rows(points, raw, True, listed=True))
 
 
 def _point_names(raw, what: str) -> list[str]:
@@ -191,17 +185,22 @@ def parse_space(obj: Mapping) -> FiniteSpace:
 
 
 def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...], ...]:
-    """The gen table as generator rows: each point's pairs set on the rows of
-    its minimal open, checked as a preorder on that open by
-    ``relations._checked_rows``, the check ``Preorder.build`` runs."""
+    """The gen table as generator rows: each point's pair list read once,
+    straight into the rows of its minimal open, and checked as a preorder
+    on that open by ``relations._checked_rows``, the check
+    ``Preorder.build`` runs. A malformed pair anywhere in the list raises
+    FormatError before a name outside the open raises UnknownPoint."""
     for key in table:
         if key not in space:
             raise FormatError(f"gen table keys unknown point {key!r}")
+    points = space.points
     family = []
-    for x, mo in zip(space.points, space.min_open_rows):
+    for x, where in zip(points, space.min_open_positions):
         if x not in table:
             raise FormatError(f"gen table misses {x!r}")
-        family.append(_checked_rows(space._index, mo, _parse_pairs(table[x]), True))
+        slot = {points[a]: k for k, a in enumerate(where)}
+        bits = [1 << a for a in where]
+        family.append(_checked_rows(slot, bits, table[x], True, listed=True))
     return tuple(family)
 
 
@@ -224,8 +223,7 @@ def parse_precirculation(obj: Mapping) -> StoredPrecirculation:
         members = frozenset(_point_names(_require(entry, "open"), "field 'open'"))
         if members in stored:
             raise FormatError(f"open {sorted(members)!r} is listed twice")
-        pairs = _parse_pairs(_require(entry, "pairs", list))
-        stored[members] = Preorder.build(members, pairs)
+        stored[members] = _parse_preorder(members, _require(entry, "pairs", list))
     exact = obj.get("exact", True)
     if not isinstance(exact, bool):
         raise FormatError("field 'exact' must be true or false")
@@ -304,10 +302,10 @@ def stream_to_dot(s: Stream) -> str:
     for p, mo in enumerate(mos):
         for q in iter_bits(mo & ~(1 << p)):
             lines.append(f"  {ids[p]} -> {ids[q]} [style=solid color=black];")
-    for z, (mo, rows) in enumerate(zip(mos, s.circ._gen_rows)):
+    for z in range(s.space.n):
         color = _PALETTE[z % len(_PALETTE)]
-        for a in iter_bits(mo):
-            for b in iter_bits(rows[a] & ~(1 << a)):
+        for a, row in s.circ.gen_items(z):
+            for b in iter_bits(row & ~(1 << a)):
                 lines.append(
                     f"  {ids[a]} -> {ids[b]} [color={color} label={ids[z]} fontcolor={color}];"
                 )

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
 from ._record import Record
-from .errors import InvalidPreorder, StreamError, UnknownPoint
+from .errors import FormatError, InvalidPreorder, StreamError, UnknownPoint
 
 
 def tuple_point(*parts: str) -> str:
@@ -22,31 +22,70 @@ def tuple_point(*parts: str) -> str:
 
 
 def _checked_rows(
-    index: Mapping[str, int], carrier: int, pairs: Iterable[tuple[str, str]], preorder: bool
+    slot: Mapping[str, int],
+    bits: Sequence[int],
+    pairs: Iterable[tuple[str, str]],
+    preorder: bool,
+    listed: bool = False,
 ) -> tuple[int, ...]:
-    """The one check of a pair table: its successor rows, one per name in
-    ``index``, on the names whose bits are set in ``carrier``. Pair by pair
-    both ends lie in the carrier (UnknownPoint); then, for a preorder, the
-    carrier's points are reflexive and each pair (a, b) has row b inside
-    row a, which is transitivity (InvalidPreorder)."""
-    rows = [0] * len(index)
+    """The one check of a pair table, read in one pass: its successor rows,
+    one per carrier point, where ``slot`` numbers the carrier's names 0, 1,
+    ... and the k-th point is bit ``bits[k]`` of a row (its own index, or
+    its index in a larger space).
+
+    ``listed`` pairs come from a JSON file: the table must be a list and
+    each pair a list of two point names (FormatError), checked pair by pair.
+    Both ends of each pair lie in the carrier: the first pair with an end
+    outside raises UnknownPoint once every pair has been read, so a
+    malformed pair later in the list still raises FormatError. Then, for a
+    preorder, the carrier's points are reflexive and each pair (a, b) has
+    row b inside row a, which is transitivity (InvalidPreorder)."""
+    if listed and not isinstance(pairs, list):
+        raise FormatError("pairs must be lists of two point names")
+    rows = [0] * len(bits)
     edges = []
-    for x, y in pairs:
-        i, j = index.get(x, -1), index.get(y, -1)
-        if i < 0 or not carrier >> i & 1:
-            raise UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
-        if j < 0 or not carrier >> j & 1:
-            raise UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
-        rows[i] |= 1 << j
-        edges.append((i, j))
+    outside = None
+    for pair in pairs:
+        if listed and not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
+        ):
+            raise FormatError("pairs must be lists of two point names")
+        if outside is not None:
+            continue
+        x, y = pair
+        i, j = slot.get(x, -1), slot.get(y, -1)
+        if i < 0:
+            outside = UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
+        elif j < 0:
+            outside = UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
+        else:
+            rows[i] |= bits[j]
+            if i != j:  # row i holds itself
+                edges.append((i, j))
+    if outside is not None:
+        raise outside
     if preorder:
-        for i in iter_bits(carrier):
-            if not rows[i] >> i & 1:
+        for row, bit in zip(rows, bits):
+            if not row & bit:
                 raise InvalidPreorder("relation is not reflexive")
         for i, j in edges:
             if rows[j] & ~rows[i]:
                 raise InvalidPreorder("relation is not transitive")
     return tuple(rows)
+
+
+def _carrier_rows(
+    points: Iterable[str], pairs: Iterable[tuple[str, str]], preorder: bool, listed: bool = False
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The sorted carrier of the points and the checked rows of the pairs on
+    it (:func:`_checked_rows`)."""
+    carrier = tuple(sorted(set(points)))
+    slot = {p: i for i, p in enumerate(carrier)}
+    bits = [1 << i for i in range(len(carrier))]
+    return carrier, _checked_rows(slot, bits, pairs, preorder, listed)
 
 
 class Relation(Record):
@@ -64,9 +103,7 @@ class Relation(Record):
 
     @classmethod
     def build(cls, points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Relation":
-        carrier = tuple(sorted(set(points)))
-        index = {p: i for i, p in enumerate(carrier)}
-        return cls(carrier, _checked_rows(index, (1 << len(carrier)) - 1, pairs, False))
+        return cls(*_carrier_rows(points, pairs, False))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -150,9 +187,7 @@ class Preorder(Relation):
 
     @classmethod
     def build(cls, points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Preorder":
-        carrier = tuple(sorted(set(points)))
-        index = {p: i for i, p in enumerate(carrier)}
-        return cls(carrier, _checked_rows(index, (1 << len(carrier)) - 1, pairs, True))
+        return cls(*_carrier_rows(points, pairs, True))
 
     @classmethod
     def identity(cls, points: Iterable[str]) -> "Preorder":

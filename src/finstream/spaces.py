@@ -65,6 +65,12 @@ class FiniteSpace(Record):
         the converse of ``min_open_rows``."""
         return tuple(transpose_rows(self.min_open_rows, self.n))
 
+    @cached_property
+    def min_open_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's minimal open as its point indices, ascending: the
+        positions of the rows a circulation stores for that point."""
+        return tuple(tuple(iter_bits(mo)) for mo in self.min_open_rows)
+
     def min_open(self, x: str) -> frozenset[str]:
         return self.set_of(self.min_open_rows[self.index(x)])
 
@@ -97,16 +103,17 @@ def space_from_min_opens(
     for q in min_open:
         if q not in index:
             raise UnknownPoint(f"min_open table keys unknown point {q!r}")
-    for i, p in enumerate(pts):
+    space = FiniteSpace(pts, tuple(rows))
+    for i, (p, where) in enumerate(zip(pts, space.min_open_positions)):
         if not rows[i] >> i & 1:
             raise NotMinimal(f"{p!r} not in its own minimal open", pair=(p, p))
-        for j in iter_bits(rows[i]):
+        for j in where:
             if rows[j] & ~rows[i]:
                 raise NotMinimal(
                     f"min_open({pts[j]!r}) not inside min_open({p!r})",
                     pair=(p, pts[j]),
                 )
-    return FiniteSpace(pts, tuple(rows))
+    return space
 
 
 def is_open(space: FiniteSpace, subset: Iterable[str]) -> bool:

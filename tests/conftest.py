@@ -56,8 +56,8 @@ from finstream import (
     trivial_stream,
     tuple_point,
 )
-from finstream._kernels import closure_rows
-from finstream.circulation import _indices_in, _shortest_chain
+from finstream._kernels import closure_rows, image_rows, reach, transpose_rows
+from finstream.circulation import _embed_rows, _indices_in, _shortest_chain
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import (
     CarrierMismatch,
@@ -607,6 +607,93 @@ def full_carrier_join(space, mask, members):
     return tuple(closed[i] if mask >> i & 1 else 0 for i in range(space.n))
 
 
+# The former stored form of a circulation: each generator as one full-space
+# row per point, zero off its point's minimal open, and the constructions
+# that built families of that shape. Oracles for the rows a Circulation now
+# keeps on each minimal open only.
+
+
+def full_gen_rows(circ):
+    """A circulation's generators in the full-row form: gen(x) as n rows,
+    zero off min_open(x). Asserts that x stores one row per point of its
+    minimal open."""
+    space = circ.space
+    out = []
+    for mo, rows in zip(space.min_open_rows, circ._gen_rows):
+        where = list(iter_bits(mo))
+        assert len(rows) == len(where)
+        full = [0] * space.n
+        for a, row in zip(where, rows):
+            full[a] = row
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def position_rows(space, family):
+    """A full-row family in the stored form: each member's rows at its
+    point's minimal open, in ascending point order."""
+    return tuple(
+        tuple(rows[a] for a in iter_bits(mo)) for mo, rows in zip(space.min_open_rows, family)
+    )
+
+
+def full_embed_family(space, gen):
+    """One Preorder per point as full-space rows."""
+    return tuple(_embed_rows(p, space) for p in gen)
+
+
+def full_saturate(space, *families):
+    """The saturation of full-row families: gen(x) is the join, inside
+    min_open(x), of every family's generators of min_open(x)'s points."""
+    return tuple(
+        full_carrier_join(space, mo, [family[j] for j in iter_bits(mo) for family in families])
+        for mo in space.min_open_rows
+    )
+
+
+def full_require_saturated(space, family):
+    """The least point whose full-row generator misses a row of a generator
+    inside its minimal open, or None."""
+    for x, (mo, big) in enumerate(zip(space.min_open_rows, family)):
+        for y in iter_bits(mo):
+            if any(row & ~big[a] for a, row in enumerate(family[y])):
+                return space.points[x]
+    return None
+
+
+def full_final_lift(target, legs):
+    """The final lift in the full-row form: the member at a target point j
+    is the image of every leg generator gen(y) with f(y) = j, saturated."""
+    family = [[0] * target.n for _ in range(target.n)]
+    for s, f in legs:
+        fidx = [target.index(f[p]) for p in s.space.points]
+        for y, rows in enumerate(full_gen_rows(s.circ)):
+            image_rows(rows, fidx, family[fidx[y]])
+    return full_saturate(target, family)
+
+
+def full_initial_lift(source, legs):
+    """The initial lift in the full-row form: at x, row a of min_open(x) is
+    min_open(x) cut down by the preimage of row f(a) of every leg's
+    generator at f(x)."""
+    family = [[mo if mo >> a & 1 else 0 for a in range(source.n)] for mo in source.min_open_rows]
+    for f, s in legs:
+        fidx = [s.space.index(f[p]) for p in source.points]
+        fibres = transpose_rows([1 << t for t in fidx], s.space.n)
+        gens = full_gen_rows(s.circ)
+        for x, mo in enumerate(source.min_open_rows):
+            for a in iter_bits(mo):
+                family[x][a] &= reach(gens[fidx[x]][fidx[a]], fibres)
+    return tuple(tuple(rows) for rows in family)
+
+
+def antisymmetry_oracle(s):
+    """check --which antisymmetry by closing the global value: the
+    underlying preorder's rows, tested pair by pair."""
+    everything = (1 << s.space.n) - 1
+    return Relation(s.space.points, s.circ.value_rows(everything)).is_antisymmetric()
+
+
 def chain_witness_oracle(s, open_set, x, y):
     """chain_witness deciding on the open's Preorder value: the same errors,
     then a breadth-first search over the generators' pairs."""
@@ -651,7 +738,8 @@ def chain_witness_all_generators(s, open_set, x, y):
     space = s.space
     mask = require_open_mask(space, space.mask_of(open_set))
     i, j = _indices_in(space, mask, x, y, "the open set")
-    gens = [(space.points[z], s.circ._gen_rows[z]) for z in iter_bits(mask)]
+    full = full_gen_rows(s.circ)
+    gens = [(space.points[z], full[z]) for z in iter_bits(mask)]
     chain = _shortest_chain(i, j, lambda a: ((z, rows[a]) for z, rows in gens))
     if chain is None:
         raise NotRelated(f"{x!r} is not below {y!r} on the open set")

@@ -77,16 +77,21 @@ class Budget:
         return False
 
 
-@pytest.fixture(scope="module")
-def acceptance_rng():
-    return random.Random(1729)
+@pytest.fixture
+def acceptance_rng(request):
+    """Each criterion's own generator, seeded from its node id, so a
+    criterion run alone (``-k criterion_5``) draws what it draws in the
+    full module."""
+    return random.Random(f"1729:{request.node.nodeid}")
 
 
 @pytest.fixture(scope="module")
-def acceptance_streams(acceptance_rng):
+def acceptance_streams():
     """Streams over every space with up to 3 points plus sampled 4-point
-    spaces: trivial, specialization, and one seeded random circulation each."""
-    rng = acceptance_rng
+    spaces: trivial, specialization, and one seeded random circulation each.
+    Drawn from a generator of their own, so they do not depend on which
+    criterion asks first."""
+    rng = random.Random("1729:acceptance_streams")
     spaces = spaces_upto(3)
     four = all_spaces(4)
     spaces += [four[i] for i in rng.sample(range(len(four)), 12)]

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import weakref
 from pathlib import Path
 
@@ -80,14 +79,26 @@ from conftest import (
     convex_cover_identity_oracle,
     convex_restriction_oracle,
     full_carrier_join,
+    full_gen_rows,
     model_streams,
     open_sets,
+    position_rows,
     pseudo_circulation_oracle,
 )
 
 
 def sierpinski_space():
     return space_from_min_opens("ab", {"a": "ab", "b": "b"})
+
+
+class FullRowCirculation(Circulation):
+    """A circulation whose values join generators kept in the former
+    full-row form (``_full``: n rows per point), which can hold a row off
+    its point's minimal open; the stored form keeps those rows only and so
+    cannot express such a generator."""
+
+    def _compute(self, mask):
+        return circulation._join_on(self.space, mask, (self._full[i] for i in iter_bits(mask)))
 
 
 def leaving_circulation():
@@ -97,12 +108,10 @@ def leaving_circulation():
     minimal-open values do not, so gluing fails there."""
     space = space_from_min_opens("xy", {"x": "x", "y": "y"})
     gen_x = Preorder.build("xy", [("x", "x"), ("y", "y"), ("y", "x")])
-    circ = object.__new__(Circulation)
-    object.__setattr__(circ, "space", space)
-    rows = tuple(circulation._embed_rows(p, space) for p in (gen_x, Preorder.identity("y")))
-    object.__setattr__(circ, "_gen_rows", rows)
-    object.__setattr__(circ, "_memo", {})
-    object.__setattr__(circ, "_lock", threading.Lock())
+    full = tuple(circulation._embed_rows(p, space) for p in (gen_x, Preorder.identity("y")))
+    circ = object.__new__(FullRowCirculation)
+    circ._hold(space, position_rows(space, full))
+    object.__setattr__(circ, "_full", full)
     return circ
 
 
@@ -460,7 +469,7 @@ class TestMaskedJoin:
 
         s = directed_square(16, 16)
         space = s.space
-        gen_rows = s.circ._gen_rows
+        gen_rows = full_gen_rows(s.circ)
         middle = space.index(space.points[space.n // 2])
         for mask in (space.min_open_rows[0], space.min_open_rows[middle], (1 << space.n) - 1):
             members = [CountingRows(gen_rows[i]) for i in iter_bits(mask)]

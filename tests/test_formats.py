@@ -39,7 +39,7 @@ from finstream.corpus import (
     random_space,
     random_stream,
 )
-from finstream.errors import FormatError, InvalidPreorder, StreamError
+from finstream.errors import FormatError, InvalidPreorder, StreamError, UnknownPoint
 from finstream.formats import (
     canonical_dumps,
     dump,
@@ -365,3 +365,103 @@ class TestDot:
     def test_empty_dot(self):
         text = stream_to_dot(empty_stream())
         assert text == "digraph stream {\n}\n"
+
+
+# Four points, b's star nested in the stars of a and d: b's generator relates
+# b to c, so a table must list (b, c) in a's and d's generators as well.
+OVERLAP = {
+    "format": "finstream.stream/1",
+    "points": ["a", "b", "c", "d"],
+    "min_open": {"a": ["a", "b", "c"], "b": ["b", "c"], "c": ["c"], "d": ["b", "c", "d"]},
+    "gen": {
+        "a": [["a", "a"], ["b", "b"], ["b", "c"], ["c", "c"]],
+        "b": [["b", "b"], ["b", "c"], ["c", "c"]],
+        "c": [["c", "c"]],
+        "d": [["b", "b"], ["b", "c"], ["c", "c"], ["d", "d"]],
+    },
+}
+
+# Each malformed table as (base, changes to its gen table, error class,
+# message): the loader's errors, pinned.
+PINNED = {
+    "key not a point": (NESTED, {"zz": []}, FormatError, "gen table keys unknown point 'zz'"),
+    "missing point": (NESTED, {"c": None}, FormatError, "gen table misses 'c'"),
+    "pairs not a list": (NESTED, {"c": "cc"}, FormatError, "pairs must be lists of two point names"),
+    "pairs an object": (
+        NESTED, {"c": {"c": "c"}}, FormatError, "pairs must be lists of two point names"
+    ),
+    "three names after an unknown one": (
+        NESTED,
+        {"c": [["c", "c"], ["zz", "c"], ["c", "c", "c"]]},
+        FormatError,
+        "pairs must be lists of two point names",
+    ),
+    "first name outside the carrier": (
+        NESTED,
+        {"b": [["b", "b"], ["a", "b"], ["c", "c"]]},
+        UnknownPoint,
+        "pair ('a', 'b'): 'a' not in carrier",
+    ),
+    "second name outside the carrier": (
+        NESTED,
+        {"b": [["b", "b"], ["b", "a"], ["c", "c"]]},
+        UnknownPoint,
+        "pair ('b', 'a'): 'a' not in carrier",
+    ),
+    "second name unknown": (
+        NESTED, {"c": [["c", "c"], ["c", "zz"]]}, UnknownPoint, "pair ('c', 'zz'): 'zz' not in carrier"
+    ),
+    "first outside pair wins": (
+        NESTED,
+        {"b": [["b", "a"], ["a", "b"], ["b", "b"], ["c", "c"]]},
+        UnknownPoint,
+        "pair ('b', 'a'): 'a' not in carrier",
+    ),
+    "not reflexive": (
+        NESTED, {"b": [["b", "c"], ["c", "c"]]}, InvalidPreorder, "relation is not reflexive"
+    ),
+    "not transitive": (
+        NESTED,
+        {"a": [["a", "a"], ["a", "b"], ["b", "b"], ["b", "c"], ["c", "c"]]},
+        InvalidPreorder,
+        "relation is not transitive",
+    ),
+    "unsaturated": (
+        NESTED,
+        {"a": [["a", "a"], ["b", "b"], ["c", "c"]]},
+        InvalidPreorder,
+        "generator for 'a' is not saturated",
+    ),
+    "unsaturated, least point named": (
+        OVERLAP,
+        {"d": [["b", "b"], ["c", "c"], ["d", "d"]], "a": [["a", "a"], ["b", "b"], ["c", "c"]]},
+        InvalidPreorder,
+        "generator for 'a' is not saturated",
+    ),
+    "unsaturated past the first point": (
+        OVERLAP,
+        {"d": [["b", "b"], ["c", "c"], ["d", "d"]]},
+        InvalidPreorder,
+        "generator for 'd' is not saturated",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_loader_error_pinned(case):
+    base, changes, kind, message = PINNED[case]
+    obj = copy.deepcopy(base)
+    for x, pairs in changes.items():
+        if pairs is None:
+            del obj["gen"][x]
+        else:
+            obj["gen"][x] = pairs
+    with pytest.raises(StreamError) as info:
+        parse_stream(obj)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_pinned_bases_load():
+    for base in (NESTED, OVERLAP):
+        s = parse_stream(base)
+        assert stream_to_json(s) == canonical_dumps(base)

@@ -45,7 +45,14 @@ from finstream.category import StreamMapCheck
 from finstream.corpus import random_precirculation
 from finstream.models import interval_endpoint_partition
 
-from conftest import Former, former_class, former_record, model_streams
+from conftest import (
+    Former,
+    former_class,
+    former_record,
+    full_gen_rows,
+    model_streams,
+    position_rows,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # The four modules the benchmark harness imports in a fresh interpreter.
@@ -162,6 +169,19 @@ def test_equality_and_hash_partition_as_before(records):
     space, chain = FiniteSpace(("a",), (1,)), AlternatingChain(("a",), (1,))
     assert space != chain and former_record(space) != former_record(chain)
     assert hash(space) == hash(chain) == hash(former_record(chain))
+
+
+def test_circulation_field_is_the_stored_rows(records):
+    # the Circulation records' equality and hash read the rows on the
+    # minimal opens, and partition the group as the former full rows do
+    group = records["Circulation"]
+    full = [(c.space, full_gen_rows(c)) for c in group]
+    for c, (space, rows) in zip(group, full):
+        assert c._gen_rows == position_rows(space, rows)
+        assert hash(c) == hash(former_record(c)) == hash((c.space, c._gen_rows))
+    for i, j in itertools.product(range(len(group)), repeat=2):
+        assert (group[i] == group[j]) == (full[i] == full[j])
+        assert (hash(group[i]) == hash(group[j])) == (full[i] == full[j])
 
 
 def test_construction_by_keyword_and_defaults(records):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from finstream import (
+    FiniteSpace,
     Preorder,
     all_opens,
     closure_set,
@@ -87,6 +88,60 @@ class TestConstruction:
     def test_rejects_unknown_member(self):
         with pytest.raises(UnknownPoint):
             space_from_min_opens("ab", {"a": "abz", "b": "b"})
+
+
+# Each malformed minimal-open table as (points, table, error class, message,
+# pair the NotMinimal error names): the validated constructor's errors, pinned.
+BAD_TABLES = {
+    "missing point": ("ab", {"a": "ab"}, MissingPoint, "min_open table misses 'b'", None),
+    "unknown member": (
+        "ab", {"a": "abz", "b": "b"}, UnknownPoint, "min_open('a') contains unknown point 'z'", None
+    ),
+    "unknown member before a missing point": (
+        "abc", {"a": "a", "b": "bz"}, UnknownPoint, "min_open('b') contains unknown point 'z'", None
+    ),
+    "unknown key": (
+        "ab", {"a": "a", "b": "b", "z": "z"}, UnknownPoint, "min_open table keys unknown point 'z'",
+        None,
+    ),
+    "point outside its own": (
+        "ab", {"a": "b", "b": "b"}, NotMinimal, "'a' not in its own minimal open", ("a", "a")
+    ),
+    "not nested": (
+        "abc", {"a": "ab", "b": "bc", "c": "c"}, NotMinimal,
+        "min_open('b') not inside min_open('a')", ("a", "b"),
+    ),
+    "least member not nested": (
+        "abcd", {"a": "abc", "b": "bd", "c": "cd", "d": "d"}, NotMinimal,
+        "min_open('b') not inside min_open('a')", ("a", "b"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_table_error_pinned(case):
+    points, table, kind, message, pair = BAD_TABLES[case]
+    with pytest.raises(StreamError) as info:
+        space_from_min_opens(points, table)
+    assert (type(info.value), str(info.value)) == (kind, message)
+    if pair is not None:
+        assert info.value.pair == pair
+
+
+def test_min_open_positions_are_the_rows_bits():
+    # ascending point indices, whatever the order of the listed names or of
+    # a hand-built space's points
+    spaces = [
+        space_from_min_opens("ab", {"a": ["b", "a", "b"], "b": ["b"]}),
+        FiniteSpace(("b", "a"), (0b11, 0b10)),
+        directed_interval(5).space,
+        directed_square(3, 2).space,
+        boundary_square(2).space,
+    ] + spaces_upto(3)
+    for space in spaces:
+        assert space.min_open_positions == tuple(
+            tuple(i for i in range(space.n) if mo >> i & 1) for mo in space.min_open_rows
+        )
 
 
 class TestOpensAndClosure:

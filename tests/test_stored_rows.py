@@ -58,7 +58,9 @@ from finstream.formats import (
 from finstream.models import interval_endpoint_partition
 
 from conftest import (
+    full_embed_family,
     model_streams,
+    position_rows,
     relabelled,
     specialization_circulation_oracle,
     stream_from_atlas_oracle,
@@ -133,7 +135,7 @@ class TestEveryCirculationIsSaturated:
         for space in small_spaces:
             for _ in range(5):
                 gen = random_family(rng, space)
-                embedded = tuple(circulation._embed_rows(p, space) for p in gen)
+                embedded = position_rows(space, full_embed_family(space, gen))
                 saturated = circulation._saturate(space, embedded)._gen_rows
                 changed = [x for x, a, b in zip(space.points, embedded, saturated) if a != b]
                 verdicts.add(bool(changed))
