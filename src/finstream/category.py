@@ -36,6 +36,7 @@ from .spaces import (
     is_continuous,
     product_space,
     quotient_space,
+    require_continuous,
     subspace,
 )
 
@@ -160,7 +161,21 @@ def initial_structure(
     into stream maps: the initial lift over the legs, the chaotic
     minimal-open values cut down by every leg's generators (chaotic for no
     legs). That family is already saturated, so no value is closed. It
-    equals the cosheafification of the meet of the pullbacks."""
+    equals the cosheafification of the meet of the pullbacks.
+
+    Each leg is checked continuous (``NotContinuous`` otherwise) before the
+    lift, which assumes it."""
+    for f, s in legs:
+        require_continuous(f, source, s.space)
+    return _initial_structure(source, legs)
+
+
+def _initial_structure(
+    source: FiniteSpace, legs: Sequence[tuple[Mapping[str, str], Stream]]
+) -> tuple[Stream, list[StreamMap]]:
+    """:func:`initial_structure` over legs continuous by construction (the
+    projections and inclusions built here), with no continuity check; the
+    test suite checks those legs."""
     stream = Stream(source, _initial_lift(source, legs))
     return stream, [StreamMap._by_construction(stream, s, dict(f)) for f, s in legs]
 
@@ -170,14 +185,14 @@ def product_stream(s: Stream, t: Stream) -> tuple[Stream, StreamMap, StreamMap]:
     space = product_space(s.space, t.space)
     first = {tuple_point(x, y): x for x in s.space.points for y in t.space.points}
     second = {tuple_point(x, y): y for x in s.space.points for y in t.space.points}
-    stream, (to_s, to_t) = initial_structure(space, [(first, s), (second, t)])
+    stream, (to_s, to_t) = _initial_structure(space, [(first, s), (second, t)])
     return stream, to_s, to_t
 
 
 def substream(s: Stream, points: Iterable[str]) -> tuple[Stream, StreamMap]:
     """Subspace with the initial structure over the inclusion."""
     space = subspace(s.space, points)
-    stream, (leg,) = initial_structure(space, [({p: p for p in space.points}, s)])
+    stream, (leg,) = _initial_structure(space, [({p: p for p in space.points}, s)])
     return stream, leg
 
 
@@ -274,7 +289,7 @@ def limit(diagram: StreamDiagram) -> tuple[Stream, dict[str, StreamMap]]:
     legs = {
         k: {name: assoc[name][slot[k]] for name in base.points} for k in keys
     }
-    stream, stream_legs = initial_structure(
+    stream, stream_legs = _initial_structure(
         base, [(legs[k], diagram.objects[k]) for k in keys]
     )
     return stream, dict(zip(keys, stream_legs))

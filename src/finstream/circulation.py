@@ -145,6 +145,11 @@ class StoredPrecirculation(Precirculation):
     with the monotone hull (closure of the union of stored graphs of stored
     opens inside the query).
 
+    The hull is monotone by construction, so :func:`check_monotone` accepts
+    it without a scan, and only a stored open can be the first to break
+    gluing, so :func:`is_circulation` checks those opens alone: neither
+    enumerates the open lattice.
+
     ``exact`` records whether the hull is known to reproduce the intended
     assignment everywhere, or is merely a lower approximation.
     """
@@ -429,12 +434,14 @@ def _initial_lift(
     min_open(x) and f(y) in min_open(f(x)), so each leg's saturated
     generator at f(y) lies inside the one at f(x), and the member at y
     inside the member at x. The test suite checks that saturating the
-    family returns it unchanged."""
+    family returns it unchanged.
+
+    Every leg must be continuous; the callers check the maps they take from
+    outside (:func:`category.initial_structure`)."""
     family = [
         [mo] * len(where) for mo, where in zip(source.min_open_rows, source.min_open_positions)
     ]
     for f, s in legs:
-        require_continuous(f, source, s.space)
         fidx = [s.space.index(f[p]) for p in source.points]
         fibres = transpose_rows([1 << t for t in fidx], s.space.n)
         for x, k, pre in _preimage_rows(source, fidx, fibres, s):
@@ -550,15 +557,26 @@ def _least_mismatch(
 def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     """Does the assignment satisfy the gluing condition?
 
-    fast: for every open W, compare the assigned value with the join of the
-    assigned values on the minimal opens of W's points (the minimal-open
-    cover refines every cover, so this is equivalent to the full condition;
-    the equivalence is itself property-tested).
+    fast: for every open W, in ascending mask order, compare the assigned
+    value with the join of the assigned values on the minimal opens of W's
+    points (the minimal-open cover refines every cover, so this is
+    equivalent to the full condition; the equivalence is itself
+    property-tested). The first failing W gives the witness: its
+    minimal-open cover and the least mismatched pair.
 
     A ``Circulation`` passes without a scan: its generators are saturated,
     so each is the value on its point's minimal open, and the value on W,
     the closure on W of the generators over W, is the join of those values.
-    Any other precirculation takes the scan over every open.
+
+    A ``StoredPrecirculation`` is compared on its stored opens only, with
+    the same comparison and witness. Its value V(W) is the closure of the
+    stored values inside W, so it holds J(W), the join over W's minimal
+    opens. If W fails, some stored S inside W has its stored value outside
+    J(W), hence outside J(S), so S fails too, and S's mask is no larger
+    than W's: the first failing open is a stored one.
+
+    Any other precirculation (a pullback, a plain view) is scanned over
+    every open.
 
     exhaustive: literally quantify over collections of nonempty opens, in a
     deterministic order (collections by size, then lexicographically by their
@@ -571,8 +589,14 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     if mode == "fast":
         if isinstance(pc, Circulation):
             return CirculationCheck(True)
-        minop_rows = [pc.rows_on(row) for row in space.min_open_rows]
-        for wmask in all_opens(space):
+        opens = sorted(pc._stored) if isinstance(pc, StoredPrecirculation) else all_opens(space)
+        # the comparisons read the minimal-open values of the checked opens'
+        # points only
+        covered = 0
+        for wmask in opens:
+            covered |= wmask
+        minop_rows = {i: pc.rows_on(space.min_open_rows[i]) for i in iter_bits(covered)}
+        for wmask in opens:
             expected = _join_on(space, wmask, (minop_rows[i] for i in iter_bits(wmask)))
             actual = pc.rows_on(wmask)
             if actual != expected:
@@ -609,9 +633,11 @@ def check_monotone(pc: Precirculation) -> tuple[bool, tuple[str, str, str] | Non
     A ``Circulation`` passes without a scan, as in :func:`is_circulation`:
     the value on an open is the closure there of the generators over it,
     each inside the open by construction, and a larger open has more
-    generators. Anything else is scanned pair by pair over the open
-    lattice."""
-    if isinstance(pc, Circulation):
+    generators. A ``StoredPrecirculation`` passes for the same reason: its
+    value on an open is the closure of the stored values inside it, and a
+    larger open holds more of them (the test suite compares both with the
+    scan). Anything else is scanned pair by pair over the open lattice."""
+    if isinstance(pc, (Circulation, StoredPrecirculation)):
         return True, None
     opens = all_opens(pc.space)
     for small in opens:

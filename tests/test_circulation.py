@@ -8,6 +8,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finstream import (
     AlternatingChain,
@@ -16,6 +18,7 @@ from finstream import (
     FuncPrecirculation,
     Precirculation,
     Preorder,
+    StoredPrecirculation,
     Stream,
     StreamDiagram,
     all_opens,
@@ -54,6 +57,7 @@ from finstream.corpus import (
     random_continuous_map,
     random_precirculation,
     random_preorder,
+    random_space,
     random_stream,
     spaces_upto,
 )
@@ -213,12 +217,18 @@ class TestIsCirculation:
         assert (fast.witness.x, fast.witness.y) == (slow.witness.x, slow.witness.y)
 
     def test_modes_agree_on_random_precirculations(self, rng, tiny_spaces):
+        # stored precirculations: fast mode checks the stored opens, and
+        # agrees with exhaustive mode and with the open-lattice scan
+        failed = 0
         for space in tiny_spaces:
             for _ in range(3):
-                pc = random_precirculation(rng, space)
+                pc = random_precirculation(rng, space, seeds=rng.randint(1, 3))
                 fast = is_circulation(pc, "fast")
                 slow = is_circulation(pc, "exhaustive")
                 assert fast.ok == slow.ok
+                assert fast == is_circulation(plain_view(pc), "fast")
+                failed += not fast.ok
+        assert failed > 10
 
     def test_every_generated_circulation_passes(self, corpus_streams):
         for s in corpus_streams:
@@ -907,12 +917,84 @@ class TestAntisymmetricConvexity:
         assert not hyp and not anti
 
 
+def plain_view(pc):
+    """The same values through a plain Precirculation, which the checks scan
+    over the open lattice."""
+    return Precirculation(pc.space, pc.rows_on)
+
+
+def corpus_precirculations(small_spaces, seed):
+    """Stored precirculations as the corpus draws them: 1-4 random values on
+    every small space, and on random spaces of 5 and 6 points."""
+    rng = random.Random(seed)
+    spaces = small_spaces + [random_space(rng, rng.choice((5, 6))) for _ in range(40)]
+    return [random_precirculation(rng, space, seeds=rng.randint(1, 4)) for space in spaces]
+
+
+def failing_open(space, witness):
+    """The open whose failure a fast witness reports: the union of its
+    minimal-open cover."""
+    mask = 0
+    for members in witness.collection:
+        mask |= space.mask_of(members)
+    return mask
+
+
 class TestStoredPrecirculation:
-    def test_hull_is_monotone(self, rng, tiny_spaces):
-        for space in tiny_spaces:
-            pc = random_precirculation(rng, space, seeds=3)
-            ok, witness = check_monotone(pc)
-            assert ok, witness
+    """is_circulation (fast) checks a StoredPrecirculation on its stored
+    opens only, and check_monotone accepts it without a scan. The oracle is
+    the open-lattice scan of the same values through a plain view."""
+
+    def test_matches_scan(self, small_spaces):
+        failed = 0
+        for pc in corpus_precirculations(small_spaces, "stored-scan"):
+            result = is_circulation(pc, "fast")
+            assert result == is_circulation(plain_view(pc), "fast")
+            failed += not result.ok
+        assert failed > 20  # the comparison covers witnesses too
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), seeds=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_first_failing_open_is_stored(self, seed, n, seeds):
+        # the lemma behind the shortcut: the scan's first failing open holds
+        # a stored value
+        rng = random.Random(seed)
+        pc = random_precirculation(rng, random_space(rng, n), seeds=seeds)
+        scan = is_circulation(plain_view(pc), "fast")
+        if not scan.ok:
+            assert failing_open(pc.space, scan.witness) in pc._stored
+
+    def test_hull_is_monotone(self, small_spaces):
+        # the library accepts the hull without a scan; the scan agrees
+        for pc in corpus_precirculations(small_spaces, "stored-monotone"):
+            if pc.space.n > 4:
+                continue
+            assert check_monotone(pc) == check_monotone(plain_view(pc)) == (True, None)
+
+    def test_checks_enumerate_no_opens(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("open lattice enumerated")
+
+        s = directed_interval(14)
+        space = s.space
+        # the stream's own minimal-open values glue; the full preorder on
+        # min_open(v1) | min_open(v2) does not, and the values inside it are
+        # the identity
+        holds = StoredPrecirculation(
+            space, {frozenset(space.min_open(x)): s.gen_of(x) for x in space.points}
+        )
+        wide = space.min_open("v1") | space.min_open("v2")
+        breaks = StoredPrecirculation(space, {frozenset(wide): Preorder.full(wide)})
+        monkeypatch.setattr("finstream.circulation.all_opens", no_enumeration)
+        assert is_circulation(holds, "fast").ok
+        result = is_circulation(breaks, "fast")
+        assert not result.ok
+        assert failing_open(space, result.witness) == space.mask_of(wide)
+        assert (result.witness.x, result.witness.y) == ("e1", "e2")
+        for pc in (holds, breaks):
+            assert check_monotone(pc) == (True, None)
+        with pytest.raises(AssertionError, match="enumerated"):
+            is_circulation(plain_view(breaks), "fast")
 
     def test_chaotic_is_monotone_not_circulation(self):
         space = sierpinski_space()

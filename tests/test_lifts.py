@@ -35,12 +35,15 @@ from finstream import (
 )
 from finstream.circulation import _saturate
 from finstream.corpus import random_continuous_map, random_partition, spaces_upto
+from finstream.errors import NotContinuous
 from finstream.formats import canonical_dumps, serialize_stream
+from finstream.spaces import is_continuous, space_from_min_opens
 
 from conftest import (
     final_structure_oracle,
     initial_structure_oracle,
     limit_oracle,
+    model_streams,
     product_oracle,
     pushforward_oracle,
     unsaturated_stream,
@@ -94,6 +97,39 @@ def test_final_structure(sources, tiny_spaces, count):
         assert as_json(*final_structure(target, legs)) == as_json(
             *final_structure_oracle(target, legs)
         )
+
+
+def assert_legs_continuous(legs):
+    for leg in legs:
+        assert is_continuous(leg.mapping, leg.source.space, leg.target.space)
+
+
+def test_built_legs_are_continuous(corpus_streams):
+    """product_stream, substream and limit lift over legs they build, with
+    no continuity check: each leg they return is continuous, on the models
+    and on the corpus."""
+    rng = random.Random(37)
+    streams = model_streams() + corpus_streams
+    for s in streams:
+        t = rng.choice(streams) if s.space.n <= 9 else rng.choice(corpus_streams[:40])
+        _, first, second = product_stream(s, t)
+        assert_legs_continuous([first, second])
+        _, inclusion = substream(s, rng.sample(s.space.points, rng.randint(0, s.space.n)))
+        assert_legs_continuous([inclusion])
+    small = [s for s in streams if 0 < s.space.n <= 3]
+    for shape in SHAPES:
+        for _ in range(8):
+            _, legs = limit(random_diagram(rng, small, shape))
+            assert_legs_continuous(legs.values())
+
+
+def test_initial_structure_rejects_noncontinuous_legs():
+    """The public initial_structure checks every leg before the lift."""
+    sierpinski = space_from_min_opens("ab", {"a": "ab", "b": "b"})
+    target = initial_structure(sierpinski, [])[0]
+    identity, swap = {"a": "a", "b": "b"}, {"a": "b", "b": "a"}
+    with pytest.raises(NotContinuous):
+        initial_structure(sierpinski, [(identity, target), (swap, target)])
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
