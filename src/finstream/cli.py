@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 a requested check failed, 2 input or validation
 error. Reports are single JSON documents on stdout.
 
-Each call builds the argparse subparser of the command it runs only, from
-the ``COMMANDS`` table; the root ``--help`` and a missing or unknown
-command build all five. Help text, usage errors and exit codes are the
-same as with every subparser built.
+A call on a named command builds that command's argparse parser alone, from
+the ``COMMANDS`` table, and parses the arguments after the command name
+with it; the root ``--help`` and a missing or unknown command build the
+root parser with all five subparsers. Help text, usage errors, exit codes
+and parsed arguments are the same as with the root parser. No parser is
+cached: each call builds the one it parses with.
 """
 
 from __future__ import annotations
@@ -392,29 +394,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def make_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subparser of ``command`` alone when it names
-    a command, and with every command's otherwise (``--help``, a missing or
-    unknown command). A command's own help, its usage errors and its parsed
-    arguments do not depend on which other subparsers exist."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` the arguments of command ``name`` and defaults naming
+    the command and its handler."""
+    _, arguments, handler = COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(command=name, fn=handler)
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, which ``main`` runs on the
+    arguments after the name."""
+    parser = _Parser(prog=f"finstream {name}")
+    _add_command(parser, name)
+    return parser
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The root parser with every command's subparser, for the calls that
+    name no command: ``--help``, a missing or an unknown command. ``main``
+    parses a call on a named command with that command's parser alone, whose
+    help, usage errors and parsed arguments are the subparser's own."""
     parser = _Parser(
         prog="finstream",
         description="Build, combine, and verify finite streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        help_line, arguments, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(fn=handler)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = make_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (StreamError, OSError) as exc:

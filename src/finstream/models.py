@@ -3,13 +3,14 @@
 Cell naming is fixed for reproducible serialization: vertices v0, v1, ...
 and edges e1, e2, ... with edges open and vertices closed; product points are
 named (p,q). The directed interval and the directed circle come from one
-cell-chain builder; the tests check the interval against the atlas of its
-vertex stars and the circle against the interval's endpoint quotient.
+cell-chain builder, which stores its rows without the constructor's check;
+the tests check them against the checked construction, the interval against
+the atlas of its vertex stars and the circle against the interval's
+endpoint quotient.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
@@ -57,12 +58,18 @@ def _cell_chain(n: int, closed: bool) -> Stream:
             chain.append(f"e{i + 1}")
         table[f"v{i}"] = chain
     space = space_from_min_opens(table, table)
-    # each star's chain holds its edges' identities: saturated as built
-    gens = [
-        Preorder.build(table[x], itertools.combinations_with_replacement(table[x], 2))
-        for x in space.points
-    ]
-    return Stream(space, Circulation(space, gens))
+    # each star's chain is a total order, so the row of its k-th cell is the
+    # cells from k on; a star holds its edges' one-cell chains, so the
+    # family is saturated as built
+    family = []
+    for x in space.points:
+        rows, above = {}, 0
+        for cell in reversed(table[x]):
+            a = space.index(cell)
+            above |= 1 << a
+            rows[a] = above
+        family.append(tuple([rows[a] for a in sorted(rows)]))
+    return Stream(space, Circulation._by_construction(space, tuple(family)))
 
 
 def directed_interval(n: int) -> Stream:

@@ -582,6 +582,26 @@ def limit_oracle(diagram):
     return stream, dict(zip(keys, stream_legs))
 
 
+def cell_chain_oracle(n, closed):
+    """The cell chain of ``models._cell_chain`` through the checked
+    constructor: each star's chain as the Preorder of its ordered pairs,
+    whose carriers and saturation the Circulation constructor checks."""
+    table = {f"e{i}": [f"e{i}"] for i in range(1, n + 1)}
+    for i in range(n if closed else n + 1):
+        chain = [f"v{i}"]
+        if i >= 1 or closed:
+            chain.insert(0, f"e{i or n}")
+        if i < n:
+            chain.append(f"e{i + 1}")
+        table[f"v{i}"] = chain
+    space = space_from_min_opens(table, table)
+    gens = [
+        Preorder.build(table[x], itertools.combinations_with_replacement(table[x], 2))
+        for x in space.points
+    ]
+    return Stream(space, Circulation(space, gens))
+
+
 def model_streams():
     """Canonical models a little larger than the corpus."""
     return [

@@ -15,7 +15,8 @@ from finstream import (
     trivial_stream,
     tuple_point,
 )
-from finstream.cli import COMBINE, main, make_parser
+from finstream import cli
+from finstream.cli import COMBINE, COMMANDS, command_parser, main, make_parser
 from finstream.errors import StreamError
 from finstream.formats import (
     STREAM_FORMAT,
@@ -690,13 +691,40 @@ def _parse(parser, argv, capsys):
         return exc.code, captured.out, captured.err
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """COMMANDS with every handler replaced by one that records the
+    namespace it is called with and returns 0."""
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    monkeypatch.setattr(
+        cli,
+        "COMMANDS",
+        {name: (line, arguments, record) for name, (line, arguments, _) in COMMANDS.items()},
+    )
+    return seen
+
+
 @pytest.mark.parametrize("argv", PARSED + EXITS, ids=" ".join)
-def test_command_parser_matches_full_parser(monkeypatch, capsys, argv):
-    """The parser main builds, with the subparser of argv[0] alone, parses
-    every argv, or exits on it, as the parser with all five subparsers does."""
+def test_command_parser_matches_full_parser(monkeypatch, capsys, recorded, argv):
+    """The parse main does, with the parser of argv[0] alone on argv[1:] when
+    argv[0] names a command and with the root parser otherwise, gives every
+    argv the namespace, or the exit, of the root parser with all five
+    subparsers."""
     monkeypatch.setenv("COLUMNS", "80")
-    got = _parse(make_parser(argv[0] if argv else None), argv, capsys)
-    assert got == _parse(make_parser(), argv, capsys)
+    expected = _parse(make_parser(), argv, capsys)
+    try:
+        assert main(argv) == 0
+        got = recorded.pop()
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        got = exc.code, captured.out, captured.err
+    assert recorded == []
+    assert got == expected
     if argv in PARSED:
         assert isinstance(got, dict) and got["command"] == argv[0]
     else:
@@ -704,9 +732,56 @@ def test_command_parser_matches_full_parser(monkeypatch, capsys, argv):
 
 
 def test_known_command_builds_its_subparser_only(capsys):
-    with pytest.raises(SystemExit):
-        make_parser("build").parse_args(["check", "--input", "s.json"])
-    assert "invalid choice: 'check' (choose from 'build')" in capsys.readouterr().err
+    """A command's parser holds its own arguments and no subparsers: another
+    command's name or option is an unrecognized argument."""
+    parser = command_parser("build")
+    assert parser.prog == "finstream build"
+    assert parser._subparsers is None
+    for argv, extra in (
+        (["check", "--input", "s.json"], "check"),
+        (["--input", "s.json", "--which", "all"], "--which all"),
+    ):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {extra}\n"
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every parser built, subparsers included, in order."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--input", "<missing>"],
+    ["check", "--input", "<missing>"],
+    ["query", "--input", "<missing>", "--open", "global", "v0", "v1"],
+    ["combine", "join", "--input", "<missing>"],
+    ["export", "--input", "<missing>"],
+], ids=lambda argv: argv[0])
+def test_command_call_builds_one_parser(tmp_path, capsys, parsers_built, argv):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *[missing if arg == "<missing>" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert parsers_built == [f"finstream {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"]], ids=str)
+def test_call_without_command_builds_the_root(capsys, parsers_built, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == (0 if argv == ["--help"] else 2)
+    assert parsers_built == ["finstream"] + [f"finstream {name}" for name in COMMANDS]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

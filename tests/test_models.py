@@ -32,10 +32,10 @@ from finstream.errors import (
     NotAntisymmetric,
     NotOpen,
 )
-from finstream.models import boundary_points, interval_endpoint_partition
+from finstream.models import _cell_chain, boundary_points, interval_endpoint_partition
 from finstream.relations import Relation, product as rel_product
 
-from conftest import antisymmetric_convexity_oracle, closure_oracle
+from conftest import antisymmetric_convexity_oracle, cell_chain_oracle, closure_oracle
 
 
 class TestDirectedInterval:
@@ -370,3 +370,12 @@ class TestModelInvariants:
             hyp, anti = antisymmetric_convexity_oracle(s)
             if hyp:
                 assert anti
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["interval", "circle"])
+def test_cell_chain_equals_checked_construction(closed):
+    """The rows the cell-chain builder stores unchecked are those of the
+    checked constructor, for the interval from n = 1 and the circle, which
+    needs two edges, from n = 2."""
+    for n in range(2 if closed else 1, 41):
+        assert _cell_chain(n, closed) == cell_chain_oracle(n, closed)
