@@ -46,7 +46,6 @@ from .circulation import (
     circulation_from_generators,
     cosheafify,
     enumerate_circulations,
-    half_cosheaf_holds,
     is_circulation,
     join_circulations,
     pullback,
@@ -73,8 +72,6 @@ from .relations import (
     Preorder,
     Relation,
     all_preorders,
-    bounded_interval,
-    is_convex,
     join,
     product,
     transitive_reflexive_closure,

@@ -148,7 +148,11 @@ class StoredPrecirculation(Precirculation):
     The hull is monotone by construction, so :func:`check_monotone` accepts
     it without a scan, and only a stored open can be the first to break
     gluing, so :func:`is_circulation` checks those opens alone: neither
-    enumerates the open lattice.
+    enumerates the open lattice. Taken in ascending mask order, a stored
+    open glues, once every earlier one does, exactly when its stored value
+    lies inside the closure of the stored values within its points'
+    minimal opens, so the check reads no hull (``_compute``) unless an open
+    fails, and then only that open's, for the witness.
 
     ``exact`` records whether the hull is known to reproduce the intended
     assignment everywhere, or is merely a lower approximation.
@@ -546,12 +550,59 @@ def _least_mismatch(
     best = None
     for i in range(space.n):
         diff = lhs[i] ^ rhs[i]
+        if not diff:
+            continue
         for j in iter_bits(diff):
             cand = (space.points[i], space.points[j])
             if best is None or cand < best:
                 best = cand
     assert best is not None
     return best
+
+
+def _first_unglued(pc: StoredPrecirculation) -> tuple[int, tuple[int, ...]] | None:
+    """The first stored open W, in ascending mask order, whose value is not
+    J(W), the closure on W of the stored values inside the minimal open of
+    some point of W; returned with J(W), or None when every stored open
+    glues. By the lemma in :func:`is_circulation`, W fails exactly when its
+    stored value does not lie inside J(W).
+
+    Each stored T is indexed under the points whose minimal open holds it,
+    the AND of its points' closures, so one OR over W's points names every
+    T that J(W) joins. W indexed under one of its own points is that
+    point's minimal open and glues; every other W costs one closure and
+    one subset test."""
+    space = pc.space
+    closures = space.closure_rows
+    everywhere = (1 << space.n) - 1
+    stored = sorted(pc._stored.items())
+    wheres = []
+    under = [0] * space.n
+    for k, (mask, _) in enumerate(stored):
+        where = list(iter_bits(mask))
+        wheres.append(where)
+        holders = everywhere
+        for a in where:
+            holders &= closures[a]
+        for p in iter_bits(holders):
+            under[p] |= 1 << k
+    rows = [0] * space.n
+    for k, ((mask, value), where) in enumerate(zip(stored, wheres)):
+        inside = 0
+        for p in where:
+            inside |= under[p]
+        if inside >> k & 1:
+            continue
+        for j in iter_bits(inside):
+            srows = stored[j][1]
+            for a in wheres[j]:
+                rows[a] |= srows[a]
+        joined = _close_on_mask(space, where, rows)
+        for a in where:
+            rows[a] = 0
+            if value[a] & ~joined[a]:
+                return mask, joined
+    return None
 
 
 def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
@@ -569,11 +620,18 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     the closure on W of the generators over W, is the join of those values.
 
     A ``StoredPrecirculation`` is compared on its stored opens only, with
-    the same comparison and witness. Its value V(W) is the closure of the
-    stored values inside W, so it holds J(W), the join over W's minimal
-    opens. If W fails, some stored S inside W has its stored value outside
-    J(W), hence outside J(S), so S fails too, and S's mask is no larger
-    than W's: the first failing open is a stored one.
+    the same witness. Its value V(W) is the closure of the stored values
+    inside W, so it holds J(W), the join over W's minimal opens. If W fails,
+    some stored S inside W has its stored value outside J(W), hence outside
+    J(S), so S fails too, and S's mask is no larger than W's: the first
+    failing open is a stored one. In ascending mask order, once every
+    earlier stored open glues, W glues exactly when its stored value lies
+    inside J(W): each stored T inside W is a submask, so it comes earlier,
+    and its stored value lies in V(T) = J(T), inside J(W). So each stored
+    open costs one closure and one subset test (:func:`_first_unglued`),
+    and no hull is computed on the way. Only the first failing W reads its
+    hull, ``rows_on(W)``, because the witness is the least pair on which
+    that hull differs from J(W), as the full comparison reports it.
 
     Any other precirculation (a pullback, a plain view) is scanned over
     every open.
@@ -589,23 +647,25 @@ def is_circulation(pc: Precirculation, mode: str = "fast") -> CirculationCheck:
     if mode == "fast":
         if isinstance(pc, Circulation):
             return CirculationCheck(True)
-        opens = sorted(pc._stored) if isinstance(pc, StoredPrecirculation) else all_opens(space)
-        # the comparisons read the minimal-open values of the checked opens'
-        # points only
-        covered = 0
-        for wmask in opens:
-            covered |= wmask
-        minop_rows = {i: pc.rows_on(space.min_open_rows[i]) for i in iter_bits(covered)}
-        for wmask in opens:
-            expected = _join_on(space, wmask, (minop_rows[i] for i in iter_bits(wmask)))
-            actual = pc.rows_on(wmask)
-            if actual != expected:
-                cover = sorted(
-                    {tuple(sorted(space.min_open(space.points[i]))) for i in iter_bits(wmask)}
-                )
-                x, y = _least_mismatch(space, actual, expected)
-                return CirculationCheck(False, CosheafWitness(tuple(cover), x, y))
-        return CirculationCheck(True)
+        if isinstance(pc, StoredPrecirculation):
+            failure = _first_unglued(pc)
+        else:
+            failure = None
+            minop_rows = [pc.rows_on(mo) for mo in space.min_open_rows]
+            for wmask in all_opens(space):
+                expected = _join_on(space, wmask, (minop_rows[i] for i in iter_bits(wmask)))
+                if pc.rows_on(wmask) != expected:
+                    failure = wmask, expected
+                    break
+        if failure is None:
+            return CirculationCheck(True)
+        wmask, expected = failure
+        cover = sorted(
+            tuple(sorted(space.points[j] for j in iter_bits(mo)))
+            for mo in {space.min_open_rows[i] for i in iter_bits(wmask)}
+        )
+        x, y = _least_mismatch(space, pc.rows_on(wmask), expected)
+        return CirculationCheck(False, CosheafWitness(tuple(cover), x, y))
     if mode == "exhaustive":
         opens = [m for m in all_opens(space) if m]
         keys = {m: tuple(sorted(space.set_of(m))) for m in opens}
@@ -656,18 +716,6 @@ def check_monotone(pc: Precirculation) -> tuple[bool, tuple[str, str, str] | Non
                         pc.space.points[j],
                     )
     return True, None
-
-
-def half_cosheaf_holds(pc: Precirculation, collection: Sequence[Iterable[str]]) -> bool:
-    """Join of the values on the members sits inside the value on the union."""
-    space = pc.space
-    masks = [space.mask_of(open_set) for open_set in collection]
-    union = 0
-    for mask in masks:
-        union |= mask
-    joined = _join_on(space, union, (pc.rows_on(mask) for mask in masks))
-    big = pc.rows_on(union)
-    return all(not joined[i] & ~big[i] for i in range(space.n))
 
 
 def cosheafify(pc: Precirculation) -> Circulation:

@@ -3,10 +3,10 @@
 Cell naming is fixed for reproducible serialization: vertices v0, v1, ...
 and edges e1, e2, ... with edges open and vertices closed; product points are
 named (p,q). The directed interval and the directed circle come from one
-cell-chain builder, which stores its rows without the constructor's check;
-the tests check them against the checked construction, the interval against
-the atlas of its vertex stars and the circle against the interval's
-endpoint quotient.
+cell-chain builder, which builds its space and stores its rows without the
+validating constructors' checks; the tests check both against the checked
+constructions, the interval against the atlas of its vertex stars and the
+circle against the interval's endpoint quotient.
 """
 
 from __future__ import annotations
@@ -57,18 +57,24 @@ def _cell_chain(n: int, closed: bool) -> Stream:
         if i < n:
             chain.append(f"e{i + 1}")
         table[f"v{i}"] = chain
-    space = space_from_min_opens(table, table)
-    # each star's chain is a total order, so the row of its k-th cell is the
-    # cells from k on; a star holds its edges' one-cell chains, so the
-    # family is saturated as built
-    family = []
-    for x in space.points:
+    # the table is valid as written (each star holds its cell, and the
+    # stars inside it are its edges' one-cell stars), so the space is built
+    # from it unchecked. Each star's chain is a total order, so the row of
+    # its k-th cell is the cells from k on, and its first cell's row is the
+    # star; a star holds its edges' one-cell chains, so the family is
+    # saturated as built
+    points = tuple(sorted(table))
+    index = {p: i for i, p in enumerate(points)}
+    stars, family = [], []
+    for x in points:
         rows, above = {}, 0
         for cell in reversed(table[x]):
-            a = space.index(cell)
+            a = index[cell]
             above |= 1 << a
             rows[a] = above
+        stars.append(above)
         family.append(tuple([rows[a] for a in sorted(rows)]))
+    space = FiniteSpace(points, tuple(stars))
     return Stream(space, Circulation._by_construction(space, tuple(family)))
 
 

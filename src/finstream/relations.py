@@ -280,14 +280,6 @@ def product(factors: Sequence[Relation]) -> Relation:
     return cls(carrier, _tuple_rows([f.rows for f in factors], coords))
 
 
-def bounded_interval(p: Preorder, x: str, y: str) -> frozenset[str]:
-    """All z with x <= z and z <= y."""
-    up = p.rows[p.index(x)]
-    j = p.index(y)
-    (down,) = transpose_rows([row >> j & 1 for row in p.rows], 1)
-    return p.set_of(up & down)
-
-
 @lru_cache(maxsize=None)
 def _all_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     if n > 4:
@@ -310,10 +302,3 @@ def all_preorders(points: Iterable[str]) -> list[Preorder]:
     carrier = tuple(sorted(set(points)))
     return [Preorder(carrier, rows) for rows in _all_preorder_rows(len(carrier))]
 
-
-def is_convex(p: Preorder, points: Iterable[str]) -> bool:
-    """True iff x <= y <= z with x, z in the set forces y into the set."""
-    mask = p.mask_of(points)
-    up = reach(mask, p.rows)
-    down = reach(mask, transpose_rows(p.rows, p.n))
-    return not (up & down & ~mask)

@@ -24,7 +24,6 @@ from finstream import (
     Stream,
     StreamMap,
     all_opens,
-    bounded_interval,
     chaotic_precirculation,
     circulation_from_generators,
     closure_set,
@@ -37,7 +36,6 @@ from finstream import (
     enumerate_circulations,
     interior,
     is_connected,
-    is_convex,
     is_stream_map,
     join,
     join_circulations,
@@ -57,7 +55,7 @@ from finstream import (
     tuple_point,
 )
 from finstream._kernels import closure_rows, image_rows, reach, transpose_rows
-from finstream.circulation import _embed_rows, _indices_in, _shortest_chain
+from finstream.circulation import _embed_rows, _indices_in, _join_on, _shortest_chain
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import (
     CarrierMismatch,
@@ -103,6 +101,38 @@ def convex_oracle(p, subset):
                 if p.has(x, y) and p.has(y, z) and y not in subset:
                     return False
     return True
+
+
+def bounded_interval(p, x, y):
+    """All z with x <= z and z <= y: the up-set row of x and the down-set
+    row of y (UnknownPoint for a name off the carrier)."""
+    up = p.rows[p.index(x)]
+    j = p.index(y)
+    (down,) = transpose_rows([row >> j & 1 for row in p.rows], 1)
+    return p.set_of(up & down)
+
+
+def is_convex(p, points):
+    """True iff x <= y <= z with x, z in the set forces y into the set, on
+    bitmask rows: no point both above and below the set lies outside it.
+    ``convex_oracle`` is the quantifier scan it is tested against."""
+    mask = p.mask_of(points)
+    up = reach(mask, p.rows)
+    down = reach(mask, transpose_rows(p.rows, p.n))
+    return not (up & down & ~mask)
+
+
+def half_cosheaf_holds(pc, collection):
+    """The join of the values on the members sits inside the value on their
+    union: the half of the gluing condition that monotonicity gives."""
+    space = pc.space
+    masks = [space.mask_of(open_set) for open_set in collection]
+    union = 0
+    for mask in masks:
+        union |= mask
+    joined = _join_on(space, union, (pc.rows_on(mask) for mask in masks))
+    big = pc.rows_on(union)
+    return all(not joined[i] & ~big[i] for i in range(space.n))
 
 
 def connected_oracle(space, subset):
@@ -582,10 +612,8 @@ def limit_oracle(diagram):
     return stream, dict(zip(keys, stream_legs))
 
 
-def cell_chain_oracle(n, closed):
-    """The cell chain of ``models._cell_chain`` through the checked
-    constructor: each star's chain as the Preorder of its ordered pairs,
-    whose carriers and saturation the Circulation constructor checks."""
+def cell_chain_table(n, closed):
+    """The stars of ``models._cell_chain``, each as its chain of cells."""
     table = {f"e{i}": [f"e{i}"] for i in range(1, n + 1)}
     for i in range(n if closed else n + 1):
         chain = [f"v{i}"]
@@ -594,6 +622,15 @@ def cell_chain_oracle(n, closed):
         if i < n:
             chain.append(f"e{i + 1}")
         table[f"v{i}"] = chain
+    return table
+
+
+def cell_chain_oracle(n, closed):
+    """The cell chain of ``models._cell_chain`` through the checked
+    constructors: the space through ``space_from_min_opens``, and each
+    star's chain as the Preorder of its ordered pairs, whose carriers and
+    saturation the Circulation constructor checks."""
+    table = cell_chain_table(n, closed)
     space = space_from_min_opens(table, table)
     gens = [
         Preorder.build(table[x], itertools.combinations_with_replacement(table[x], 2))

@@ -24,7 +24,6 @@ from finstream import (
     enumerate_stream_maps,
     is_circulation,
     is_connected,
-    is_convex,
     is_stream_map,
     limit,
     colimit,
@@ -52,6 +51,7 @@ from finstream.spaces import closure_set, interior, quotient_space
 from conftest import (
     convex_restriction_oracle,
     cosheafify_by_enumeration,
+    is_convex,
     pseudo_circulation_oracle,
 )
 

@@ -23,7 +23,6 @@ from finstream import (
     identity_map,
     initial_structure,
     is_circulation,
-    is_convex,
     is_stream_map,
     limit,
     point_stream,
@@ -44,6 +43,7 @@ from finstream.spaces import space_from_min_opens
 
 from conftest import (
     box_identity_oracle,
+    is_convex,
     isomorphism_oracle,
     limit_oracle,
     product_oracle,

@@ -24,7 +24,6 @@ from finstream import (
     all_opens,
     alternating_witness,
     boundary_square,
-    bounded_interval,
     chain_witness,
     chaotic_precirculation,
     check_connected_intervals,
@@ -35,9 +34,7 @@ from finstream import (
     directed_circle,
     directed_interval,
     directed_square,
-    half_cosheaf_holds,
     is_circulation,
-    is_convex,
     join_circulations,
     limit,
     point_stream,
@@ -68,6 +65,7 @@ from finstream.errors import (
     NotRelated,
     UnknownPoint,
 )
+from finstream.formats import dump, load
 from finstream.models import pathology_fixture
 from finstream.relations import iter_bits
 from finstream.spaces import closure_mask, space_from_min_opens
@@ -76,6 +74,7 @@ from conftest import (
     alternating_witness_fixed_steps,
     alternating_witness_oracle,
     antisymmetric_convexity_oracle,
+    bounded_interval,
     chain_witness_all_generators,
     chain_witness_oracle,
     closure_oracle,
@@ -84,6 +83,8 @@ from conftest import (
     convex_restriction_oracle,
     full_carrier_join,
     full_gen_rows,
+    half_cosheaf_holds,
+    is_convex,
     model_streams,
     open_sets,
     position_rows,
@@ -931,6 +932,20 @@ def corpus_precirculations(small_spaces, seed):
     return [random_precirculation(rng, space, seeds=rng.randint(1, 4)) for space in spaces]
 
 
+def dense_precirculation(rng, space, count):
+    """``count`` draws of a stored open, repeats allowed: each holds one
+    random stream's value there or a random preorder, so stored opens nest,
+    and some glue while others break gluing."""
+    stream = random_stream(rng, space)
+    opens = all_opens(space)
+    stored = {}
+    for _ in range(count):
+        members = sorted(space.set_of(rng.choice(opens)))
+        value = stream.value(members) if rng.random() < 0.6 else random_preorder(rng, members)
+        stored[frozenset(members)] = value
+    return StoredPrecirculation(space, stored, exact=False)
+
+
 def failing_open(space, witness):
     """The open whose failure a fast witness reports: the union of its
     minimal-open cover."""
@@ -963,6 +978,72 @@ class TestStoredPrecirculation:
         scan = is_circulation(plain_view(pc), "fast")
         if not scan.ok:
             assert failing_open(pc.space, scan.witness) in pc._stored
+
+    def test_dense_families_match_scan(self, rng):
+        # the ascending-order lemma: each stored open is decided by its
+        # stored value against the join inside its points' minimal opens,
+        # given that every earlier stored open glued
+        outcomes = {True: 0, False: 0}
+        after_glued = 0
+        for _ in range(800):
+            space = random_space(rng, rng.randint(1, 6))
+            pc = dense_precirculation(rng, space, rng.randint(1, 8))
+            result = is_circulation(pc, "fast")
+            assert result == is_circulation(plain_view(pc), "fast")
+            outcomes[result.ok] += 1
+            if not result.ok:
+                failed = failing_open(space, result.witness)
+                after_glued += any(
+                    mask < failed and mask not in space.min_open_rows for mask in pc._stored
+                )
+        assert min(outcomes.values()) > 150
+        assert after_glued > 50  # failures behind a stored open that glued
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_open_of_interval_with_one_value_perturbed(self, n):
+        s = directed_interval(n)
+        space = s.space
+        values = {frozenset(space.set_of(m)): s.circ.value_mask(m) for m in all_opens(space)}
+        assert is_circulation(StoredPrecirculation(space, values), "fast").ok
+        # the full preorder on every other open, the identity on the rest
+        failed = 0
+        for k, open_set in enumerate(values):
+            wrong = (Preorder.full, Preorder.identity)[k % 2](open_set)
+            pc = StoredPrecirculation(space, {**values, open_set: wrong})
+            result = is_circulation(pc, "fast")
+            assert result == is_circulation(plain_view(pc), "fast")
+            failed += not result.ok
+        assert len(values) // 3 < failed < len(values)
+
+    def test_interval8_file_closes_once_per_open_and_reads_one_hull(self, tmp_path, monkeypatch):
+        s = directed_interval(8)
+        space = s.space
+        whole = (1 << space.n) - 1
+        full = tuple(whole for _ in space.points)
+        glues, breaks = tmp_path / "glues.json", tmp_path / "breaks.json"
+        dump(Precirculation(space, s.circ.rows_on), str(glues))
+        dump(Precirculation(space, lambda m: full if m == whole else s.circ.rows_on(m)), str(breaks))
+        hulls, closures = [], []
+        compute = StoredPrecirculation._compute
+        monkeypatch.setattr(
+            StoredPrecirculation, "_compute", lambda pc, mask: hulls.append(mask) or compute(pc, mask)
+        )
+        monkeypatch.setattr(
+            circulation, "closure_rows", lambda *args: closures.append(1) or closure_rows(*args)
+        )
+        minimal = len(set(space.min_open_rows))
+        for path, ok in ((glues, True), (breaks, False)):
+            hulls.clear()
+            closures.clear()
+            pc = load(str(path))
+            assert len(pc._stored) == 4181
+            result = is_circulation(pc, "fast")
+            assert result.ok is ok
+            # minimal opens glue unclosed; the failing open alone reads its hull
+            assert hulls == ([] if ok else [whole])
+            assert len(closures) == len(pc._stored) - minimal + len(hulls)
+        assert failing_open(space, result.witness) == whole
+        assert (result.witness.x, result.witness.y) == ("e1", "v0")
 
     def test_hull_is_monotone(self, small_spaces):
         # the library accepts the hull without a scan; the scan agrees

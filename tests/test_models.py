@@ -35,7 +35,7 @@ from finstream.errors import (
 from finstream.models import _cell_chain, boundary_points, interval_endpoint_partition
 from finstream.relations import Relation, product as rel_product
 
-from conftest import antisymmetric_convexity_oracle, cell_chain_oracle, closure_oracle
+from conftest import antisymmetric_convexity_oracle, cell_chain_oracle, cell_chain_table, closure_oracle
 
 
 class TestDirectedInterval:
@@ -379,3 +379,15 @@ def test_cell_chain_equals_checked_construction(closed):
     needs two edges, from n = 2."""
     for n in range(2 if closed else 1, 41):
         assert _cell_chain(n, closed) == cell_chain_oracle(n, closed)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["interval", "circle"])
+def test_cell_chain_space_equals_checked_space(closed):
+    """The builder's space, made from its table without the validating
+    constructor, is the one ``space_from_min_opens`` makes from that table,
+    points in the same sorted order ("e10" before "e2"); from n = 1, where
+    the circle's one edge is both ends of v0's star."""
+    for n in range(1, 41):
+        table = cell_chain_table(n, closed)
+        space = _cell_chain(n, closed).space
+        assert space == space_from_min_opens(table, table)

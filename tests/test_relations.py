@@ -9,8 +9,6 @@ from finstream import (
     Preorder,
     Relation,
     all_preorders,
-    bounded_interval,
-    is_convex,
     join,
     product,
     transitive_reflexive_closure,
@@ -18,7 +16,7 @@ from finstream import (
 )
 from finstream.errors import InvalidPreorder, StreamError, UnknownPoint
 
-from conftest import closure_oracle, convex_oracle, relation_product_oracle
+from conftest import bounded_interval, closure_oracle, convex_oracle, is_convex, relation_product_oracle
 
 POINTS3 = ("a", "b", "c")
 
