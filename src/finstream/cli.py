@@ -3,20 +3,23 @@
 Exit codes: 0 success, 1 a requested check failed, 2 input or validation
 error. Reports are single JSON documents on stdout.
 
-A call on a named command builds that command's argparse parser alone, from
-the ``COMMANDS`` table, and parses the arguments after the command name
-with it; the root ``--help`` and a missing or unknown command build the
-root parser with all five subparsers. Help text, usage errors, exit codes
-and parsed arguments are the same as with the root parser. No parser is
-cached: each call builds the one it parses with.
-"""
+A call on a named command is read straight from the ``COMMANDS`` table when
+every token after the name is an exact long option, its value or a
+positional and the line is well formed (``_plain_args``); no argparse parser
+is built and argparse is not imported. Any other call (help, an
+abbreviation, ``--``, a value starting with ``-``, a usage error) goes to
+that command's argparse parser alone, and the root ``--help`` and a missing
+or unknown command to the root parser with all five subparsers. Help text,
+usage errors, exit codes and parsed arguments are the same as with the root
+parser. No parser is cached: each call reads or builds what it parses with."""
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from . import models
 from .category import (
@@ -53,6 +56,9 @@ from .formats import (
 )
 from .spaces import FiniteSpace, require_open_mask
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _int_arg(args: dict, key: str) -> int:
     """A builder's integer argument, a JSON integer (not a boolean); the
@@ -86,11 +92,20 @@ BUILDERS = {
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    """Write ``text`` as UTF-8 to ``path``, or to stdout whatever its
+    encoding: the bytes go to its binary buffer, so a point named in any
+    script reaches an ASCII terminal too. A stdout without a buffer (an
+    ``io.StringIO`` a caller set) is written as text."""
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
 
 
 def _load_stream(path: str) -> Stream:
@@ -385,13 +400,85 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error (an unknown option, a missing argument, a bad choice)
-    is malformed input like any other: one ``error:`` line, exit 2.
-    Subparsers are built from the same class."""
+def _plain_args(name: str, argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``command_parser(name).parse_args(argv)`` gives, read
+    straight from the ``COMMANDS`` entry of ``name``, or None when argparse
+    has to read ``argv``.
 
-    def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+    Every token must be an exact long option with its value next or after
+    ``=``, a ``store_true`` flag or a positional. No value may start with
+    ``-``, every choice must be valid, every required option given and the
+    positional count exact. So help, abbreviations, ``--`` and usage errors
+    are left to the parser. A repeated option keeps its last value, and an
+    ``append`` option gets a fresh list, as with argparse."""
+    _, arguments, handler = COMMANDS[name]
+    values: dict = {"command": name, "fn": handler}
+    options, positionals, required = {}, [], set()
+    for (flag,), spec in arguments:
+        if not flag.startswith("-"):
+            positionals.append((flag, spec.get("choices")))
+            continue
+        dest = flag[2:].replace("-", "_")
+        options[flag] = dest, spec
+        action = spec.get("action")
+        if action == "store_true":
+            values[dest] = False
+        elif action == "append":
+            values[dest] = list(spec.get("default", ()))
+        else:
+            values[dest] = spec.get("default")
+        if spec.get("required"):
+            required.add(dest)
+    words = []
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        dest, spec = options[flag]
+        action = spec.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        choices = spec.get("choices")
+        if value.startswith("-") or choices is not None and value not in choices:
+            return None
+        if action == "append":
+            values[dest].append(value)
+        else:
+            values[dest] = value
+        required.discard(dest)
+    if required or len(words) != len(positionals):
+        return None
+    for (dest, choices), word in zip(positionals, words):
+        if choices is not None and word not in choices:
+            return None
+        values[dest] = word
+    return SimpleNamespace(**values)
+
+
+@functools.cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """The parser class, made on first use so that a call ``_plain_args``
+    reads never imports argparse. A usage error (an unknown option, a
+    missing argument, a bad choice) is malformed input like any other: one
+    ``error:`` line, exit 2. Subparsers are built from the same class."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            self.exit(2, f"error: {message}\n")
+
+    return _Parser
 
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
@@ -405,8 +492,8 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
 
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command ``name`` alone, which ``main`` runs on the
-    arguments after the name."""
-    parser = _Parser(prog=f"finstream {name}")
+    arguments after the name when ``_plain_args`` declines them."""
+    parser = _parser_class()(prog=f"finstream {name}")
     _add_command(parser, name)
     return parser
 
@@ -414,9 +501,9 @@ def command_parser(name: str) -> argparse.ArgumentParser:
 def make_parser() -> argparse.ArgumentParser:
     """The root parser with every command's subparser, for the calls that
     name no command: ``--help``, a missing or an unknown command. ``main``
-    parses a call on a named command with that command's parser alone, whose
-    help, usage errors and parsed arguments are the subparser's own."""
-    parser = _Parser(
+    parses a call on a named command without it, and that command's help,
+    usage errors and parsed arguments are the subparser's own."""
+    parser = _parser_class()(
         prog="finstream",
         description="Build, combine, and verify finite streams.",
     )
@@ -430,7 +517,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
-        args = command_parser(argv[0]).parse_args(argv[1:])
+        args = _plain_args(argv[0], argv[1:])
+        if args is None:
+            args = command_parser(argv[0]).parse_args(argv[1:])
     else:
         args = make_parser().parse_args(argv)
     try:

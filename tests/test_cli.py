@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finstream import (
     check_connected_intervals,
@@ -751,29 +757,132 @@ def test_known_command_builds_its_subparser_only(capsys):
 def parsers_built(monkeypatch):
     """The prog of every parser built, subparsers included, in order."""
     built = []
-    init = cli._Parser.__init__
+    parser_class = cli._parser_class()
+    init = parser_class.__init__
 
     def counting(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.setattr(parser_class, "__init__", counting)
     return built
 
 
-@pytest.mark.parametrize("argv", [
-    ["build", "--input", "<missing>"],
-    ["check", "--input", "<missing>"],
-    ["query", "--input", "<missing>", "--open", "global", "v0", "v1"],
-    ["combine", "join", "--input", "<missing>"],
-    ["export", "--input", "<missing>"],
-], ids=lambda argv: argv[0])
-def test_command_call_builds_one_parser(tmp_path, capsys, parsers_built, argv):
-    missing = str(tmp_path / "missing.json")
-    code, out, err = run(capsys, *[missing if arg == "<missing>" else arg for arg in argv])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert parsers_built == [f"finstream {argv[0]}"]
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_well_formed_call_builds_no_parser(recorded, parsers_built, argv):
+    """A call every token of which is an exact option, its value or a
+    positional is read straight from COMMANDS."""
+    assert main(argv) == 0
+    assert recorded.pop()["command"] == argv[0]
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("argv", EXITS, ids=" ".join)
+def test_declined_call_builds_the_parser_it_exits_from(capsys, recorded, parsers_built, argv):
+    """A call the plain reader declines builds the parsers it built before:
+    the command's own for a named command, the root with every subparser
+    otherwise."""
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert recorded == []
+    if argv and argv[0] in COMMANDS:
+        assert parsers_built == [f"finstream {argv[0]}"]
+    else:
+        assert parsers_built == ["finstream"] + [f"finstream {name}" for name in COMMANDS]
+
+
+def test_append_option_gets_a_fresh_list(recorded):
+    """Each call's --input list is its own, as with argparse, and the
+    table's default stays empty."""
+    for path in ("a.json", "b.json"):
+        assert main(["combine", "join", "--input", path]) == 0
+        assert recorded.pop()["input"] == [path]
+    assert main(["combine", "limit"]) == 0
+    assert recorded.pop()["input"] == []
+    assert dict(COMMANDS["combine"][1])[("--input",)]["default"] == []
+
+
+def test_commands_use_only_what_the_plain_reader_reads():
+    """Each argument is one long option or one positional, with only the
+    keys _plain_args reads, so that a ``type=``, ``nargs=`` or new action
+    fails here rather than making it disagree with argparse."""
+    keys = {"required", "default", "help", "choices", "action"}
+    for name, (_, arguments, _) in COMMANDS.items():
+        for flags, options in arguments:
+            assert len(flags) == 1, (name, flags)
+            (flag,) = flags
+            assert not flag.startswith("-") or flag.startswith("--") and flag[2:3] != "-", (name, flag)
+            assert set(options) <= keys, (name, flag, set(options) - keys)
+            assert options.get("action", "store_true") in ("store_true", "append"), (name, flag)
+
+
+# Words any argument may take, choices of every command and values the plain
+# reader leaves to argparse among them.
+WORDS = ["s.json", "v0", "e1", "global", '["v0"]', "a=b", "", "svg", "cycles", "nope", "build"]
+DASHED = ["-1", "-x", "-", "--", "-h", "--help", "--bogus", "--witness=x", "-v0 v1", "--=x"]
+FLAGS = sorted({flags[0] for _, arguments, _ in COMMANDS.values() for flags, _ in arguments
+                if flags[0].startswith("-")})
+CHOICES = sorted({c for _, arguments, _ in COMMANDS.values() for _, o in arguments for c in o.get("choices", ())})
+
+
+@st.composite
+def command_lines(draw):
+    """A command name and tokens drawn from its arguments, shuffled: either
+    a well-formed line, each option given once or twice, or one with
+    missing or extra arguments, bad values and a few extra words, dashed
+    tokens, options of other commands or abbreviations of its own."""
+    name = draw(st.sampled_from([*COMMANDS, *COMMANDS, "bogus"]))
+    if name not in COMMANDS:
+        return [name] + draw(st.lists(st.sampled_from(WORDS + FLAGS), max_size=3)), False
+    well_formed = draw(st.booleans())
+    words, dashed = st.sampled_from(CHOICES + WORDS), st.sampled_from(DASHED)
+    pieces = []
+    for (flag,), options in COMMANDS[name][1]:
+        valid = st.sampled_from(options["choices"]) if "choices" in options else words
+        if well_formed:
+            given = valid
+            counts = [1] if not flag.startswith("-") else [1, 2] if options.get("required") else [0, 1, 2]
+        else:
+            given = st.one_of(valid, valid, valid, words, dashed)
+            counts = [1, 1, 1, 0, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            if not flag.startswith("-"):
+                pieces.append([draw(given)])
+            elif options.get("action") == "store_true":
+                pieces.append([flag])
+            elif draw(st.booleans()):
+                pieces.append([flag, draw(given)])
+            else:
+                pieces.append([f"{flag}={draw(given)}"])
+    own = [flag for (flag,), _ in COMMANDS[name][1] if flag.startswith("--")]
+    for _ in range(0 if well_formed else draw(st.sampled_from([0, 1, 1, 2]))):
+        flag = draw(st.sampled_from(own))
+        abbreviation = flag[:draw(st.integers(3, len(flag) - 1))]
+        pieces.append([draw(st.one_of(words, dashed, st.sampled_from(FLAGS + [abbreviation])))])
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece], well_formed
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=command_lines())
+def test_main_parses_as_the_root_parser(monkeypatch, capsys, recorded, line):
+    """Whether the plain reader or a parser reads it, main gives every drawn
+    command line the namespace, or the exit code and both output streams, of
+    the root parser with all five subparsers; the plain reader reads every
+    well-formed one."""
+    argv, well_formed = line
+    if well_formed:
+        assert cli._plain_args(argv[0], argv[1:]) is not None
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse(make_parser(), argv, capsys)
+    try:
+        assert main(argv) == 0
+        got = recorded.pop()
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        got = exc.code, captured.out, captured.err
+    assert recorded == []
+    assert got == expected
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"]], ids=str)
@@ -807,3 +916,46 @@ def test_unreadable_path_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(argv, tmp_path, **env):
+    """Run a fresh interpreter on the library in ``tmp_path``."""
+    return subprocess.run(
+        [sys.executable, *argv], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        capture_output=True, timeout=60,
+    )
+
+
+def test_well_formed_call_never_imports_argparse(tmp_path):
+    """Importing the CLI and running a call the plain reader reads leave
+    argparse unloaded; modules that a site hook loaded before do not count."""
+    write(tmp_path / "i1.json", serialize_stream(directed_interval(1)))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from finstream import cli\n"
+        "loaded = 'argparse' in set(sys.modules) - before\n"
+        "code = cli.main(['export', '--input', 'i1.json', '--output', 'o.json'])\n"
+        "print(loaded, code, 'argparse' in set(sys.modules) - before)\n"
+    )
+    done = _python(["-c", code], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"False 0 False\n", b"")
+
+
+def test_stdout_gets_utf8_whatever_its_encoding(tmp_path):
+    """A point named outside ASCII reaches an ASCII stdout as the UTF-8 bytes
+    --output writes, exit 0; a stdout without a buffer gets the same text."""
+    write(tmp_path / "p.json", serialize_stream(point_stream("\u00e9")))
+    argv = ["export", "--input", str(tmp_path / "p.json")]
+    assert main([*argv, "--output", str(tmp_path / "o.json")]) == 0
+    written = (tmp_path / "o.json").read_bytes()
+    assert "\u00e9".encode("utf-8") in written
+    done = _python(["-m", "finstream.cli", *argv], tmp_path, PYTHONIOENCODING="ascii")
+    assert (done.returncode, done.stdout, done.stderr) == (0, written, b"")
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue().encode("utf-8") == written
