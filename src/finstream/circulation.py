@@ -31,6 +31,7 @@ from ._kernels import closure_rows, image_rows, is_acyclic, iter_bits, reach, tr
 from ._record import Record
 from .errors import (
     CarrierMismatch,
+    FormatError,
     InvalidPreorder,
     MissingPoint,
     NotRelated,
@@ -169,6 +170,8 @@ class StoredPrecirculation(Precirculation):
         self._stored: dict[int, tuple[int, ...]] = {}
         for open_set, value in stored.items():
             mask = require_open_mask(space, space.mask_of(open_set))
+            if mask in self._stored:
+                raise FormatError(f"open {sorted(open_set)!r} is stored twice")
             if frozenset(value.carrier) != frozenset(open_set):
                 raise CarrierMismatch(f"stored value off its open {sorted(open_set)!r}")
             self._stored[mask] = _embed_rows(value, space)

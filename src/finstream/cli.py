@@ -3,23 +3,22 @@
 Exit codes: 0 success, 1 a requested check failed, 2 input or validation
 error. Reports are single JSON documents on stdout.
 
-A call on a named command is read straight from the ``COMMANDS`` table when
-every token after the name is an exact long option, its value or a
-positional and the line is well formed (``_plain_args``); no argparse parser
-is built and argparse is not imported. Any other call (help, an
-abbreviation, ``--``, a value starting with ``-``, a usage error) goes to
-that command's argparse parser alone, and the root ``--help`` and a missing
-or unknown command to the root parser with all five subparsers. Help text,
-usage errors, exit codes and parsed arguments are the same as with the root
-parser. No parser is cached: each call reads or builds what it parses with."""
+A command line has two readers. A call on a named command is read straight
+from the ``COMMANDS`` table when every token after the name is an exact long
+option, its value or a positional and the line is well formed
+(``_plain_args``); no argparse parser is built and argparse is not imported.
+Every other call (help, an abbreviation, ``--``, a value starting with
+``-``, a usage error, a missing or unknown command) goes to the root
+argparse parser with all five subparsers (``make_parser``), whose help
+text, usage errors, exit codes and parsed arguments are the reference. No
+parser is cached."""
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import models
 from .category import (
@@ -55,9 +54,6 @@ from .formats import (
     stream_to_json,
 )
 from .spaces import FiniteSpace, require_open_mask
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _int_arg(args: dict, key: str) -> int:
@@ -259,8 +255,6 @@ def _load_space(path: str) -> FiniteSpace:
 
 
 def _quotient(args, inputs: list[Stream]) -> Stream:
-    if args.partition is None:
-        raise FormatError(f"{args.operation} needs --partition")
     partition = _parse_json_arg(args.partition, "--partition")
     if not isinstance(partition, list):
         raise FormatError("--partition must be a list of classes")
@@ -270,8 +264,6 @@ def _quotient(args, inputs: list[Stream]) -> Stream:
 
 
 def _substream(args, inputs: list[Stream]) -> Stream:
-    if args.points is None:
-        raise FormatError(f"{args.operation} needs --points")
     points = _point_names(_parse_json_arg(args.points, "--points"), "--points")
     return substream(inputs[0], points)[0]
 
@@ -282,10 +274,7 @@ def _join(args, inputs: list[Stream]) -> Stream:
 
 def _space_and_map(args) -> tuple[FiniteSpace, dict[str, str]]:
     """The --space file and the --map along which a stream is moved."""
-    if args.space is None or args.map is None:
-        raise FormatError(f"{args.operation} needs --space and --map")
-    space = _load_space(args.space)
-    return space, _point_map(_parse_json_arg(args.map, "--map"), "--map")
+    return _load_space(args.space), _point_map(_parse_json_arg(args.map, "--map"), "--map")
 
 
 def _pushforward(args, inputs: list[Stream]) -> Stream:
@@ -298,36 +287,37 @@ def _pullback(args, inputs: list[Stream]) -> Stream:
     return initial_structure(source, [(mapping, inputs[0])])[0]
 
 
-def _diagram(args) -> StreamDiagram:
-    if args.diagram is None:
-        raise FormatError(f"{args.operation} needs --diagram")
-    return _load_diagram(args.diagram)
-
-
 # Each combine operation: the number of --input files it reads (None: one
-# or more) and its builder, called with the arguments and the loaded inputs.
+# or more), the options it needs and its builder, called with the arguments
+# and the loaded inputs.
 COMBINE = {
-    "product": (2, lambda args, inputs: product_stream(*inputs)[0]),
-    "quotient": (1, _quotient),
-    "substream": (1, _substream),
-    "join": (None, _join),
-    "pushforward": (1, _pushforward),
-    "pullback-cosheafify": (1, _pullback),
-    "limit": (0, lambda args, inputs: limit(_diagram(args))[0]),
-    "colimit": (0, lambda args, inputs: colimit(_diagram(args))[0]),
+    "product": (2, (), lambda args, inputs: product_stream(*inputs)[0]),
+    "quotient": (1, ("partition",), _quotient),
+    "substream": (1, ("points",), _substream),
+    "join": (None, (), _join),
+    "pushforward": (1, ("space", "map"), _pushforward),
+    "pullback-cosheafify": (1, ("space", "map"), _pullback),
+    "limit": (0, ("diagram",), lambda args, inputs: limit(_load_diagram(args.diagram))[0]),
+    "colimit": (0, ("diagram",), lambda args, inputs: colimit(_load_diagram(args.diagram))[0]),
 }
 
 
 def cmd_combine(args) -> int:
-    """Extra or missing --input files are an error, never silently ignored."""
-    count, builder = COMBINE[args.operation]
+    """Extra or missing --input files are an error, never silently ignored,
+    and so is a missing option the operation needs, once the inputs load."""
+    count, needs, builder = COMBINE[args.operation]
     if count is None and not args.input:
         raise FormatError(f"{args.operation} needs at least 1 --input file")
     if count is not None and len(args.input) != count:
         raise FormatError(
             f"{args.operation} takes {count} --input file(s), got {len(args.input)}"
         )
-    stream = builder(args, [_load_stream(p) for p in args.input])
+    inputs = [_load_stream(p) for p in args.input]
+    if any(getattr(args, option) is None for option in needs):
+        raise FormatError(
+            f"{args.operation} needs " + " and ".join(f"--{option}" for option in needs)
+        )
+    stream = builder(args, inputs)
     _write_output(stream_to_json(stream), args.output)
     return 0
 
@@ -401,16 +391,16 @@ COMMANDS = {
 
 
 def _plain_args(name: str, argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace ``command_parser(name).parse_args(argv)`` gives, read
-    straight from the ``COMMANDS`` entry of ``name``, or None when argparse
-    has to read ``argv``.
+    """The namespace ``make_parser().parse_args([name, *argv])`` gives, read
+    straight from the ``COMMANDS`` entry of ``name``, or None when the root
+    parser has to read the call.
 
     Every token must be an exact long option with its value next or after
     ``=``, a ``store_true`` flag or a positional. No value may start with
     ``-``, every choice must be valid, every required option given and the
     positional count exact. So help, abbreviations, ``--`` and usage errors
-    are left to the parser. A repeated option keeps its last value, and an
-    ``append`` option gets a fresh list, as with argparse."""
+    are left to the root parser. A repeated option keeps its last value, and
+    an ``append`` option gets a fresh list, as with argparse."""
     _, arguments, handler = COMMANDS[name]
     values: dict = {"command": name, "fn": handler}
     options, positionals, required = {}, [], set()
@@ -466,61 +456,34 @@ def _plain_args(name: str, argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-@functools.cache
-def _parser_class() -> type[argparse.ArgumentParser]:
-    """The parser class, made on first use so that a call ``_plain_args``
-    reads never imports argparse. A usage error (an unknown option, a
-    missing argument, a bad choice) is malformed input like any other: one
-    ``error:`` line, exit 2. Subparsers are built from the same class."""
+def make_parser():
+    """The root argparse parser with every command's subparser, which reads
+    each call ``_plain_args`` declines. argparse is imported here, so a call
+    the plain reader reads never imports it. A usage error (an unknown
+    option, a missing argument, a bad choice) is malformed input like any
+    other: one ``error:`` line, exit 2. Subparsers are built from the same
+    class."""
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
+    class Parser(argparse.ArgumentParser):
         def error(self, message: str):
             self.exit(2, f"error: {message}\n")
 
-    return _Parser
-
-
-def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
-    """Give ``parser`` the arguments of command ``name`` and defaults naming
-    the command and its handler."""
-    _, arguments, handler = COMMANDS[name]
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(command=name, fn=handler)
-
-
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command ``name`` alone, which ``main`` runs on the
-    arguments after the name when ``_plain_args`` declines them."""
-    parser = _parser_class()(prog=f"finstream {name}")
-    _add_command(parser, name)
-    return parser
-
-
-def make_parser() -> argparse.ArgumentParser:
-    """The root parser with every command's subparser, for the calls that
-    name no command: ``--help``, a missing or an unknown command. ``main``
-    parses a call on a named command without it, and that command's help,
-    usage errors and parsed arguments are the subparser's own."""
-    parser = _parser_class()(
-        prog="finstream",
-        description="Build, combine, and verify finite streams.",
-    )
+    parser = Parser(prog="finstream", description="Build, combine, and verify finite streams.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, arguments, handler) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(command=name, fn=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        args = _plain_args(argv[0], argv[1:])
-        if args is None:
-            args = command_parser(argv[0]).parse_args(argv[1:])
-    else:
+    args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:
         args = make_parser().parse_args(argv)
     try:
         return args.fn(args)

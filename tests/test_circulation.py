@@ -60,6 +60,7 @@ from finstream.corpus import (
 )
 from finstream.errors import (
     CarrierMismatch,
+    FormatError,
     MissingPoint,
     NotOpen,
     NotRelated,
@@ -1076,6 +1077,16 @@ class TestStoredPrecirculation:
             assert check_monotone(pc) == (True, None)
         with pytest.raises(AssertionError, match="enumerated"):
             is_circulation(plain_view(breaks), "fast")
+
+    @pytest.mark.parametrize("first", [("a", "b"), ("b", "a")])
+    def test_open_stored_twice_is_refused(self, first):
+        # one open under two point orders, whichever comes first, is refused
+        # rather than keeping one of its two values
+        space = space_from_min_opens("ab", {"a": "a", "b": "b"})
+        second = first[::-1]
+        stored = {first: Preorder.full("ab"), second: Preorder.identity("ab")}
+        with pytest.raises(FormatError, match=r"open \['a', 'b'\] is stored twice"):
+            StoredPrecirculation(space, stored)
 
     def test_chaotic_is_monotone_not_circulation(self):
         space = sierpinski_space()

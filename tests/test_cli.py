@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from finstream import (
     tuple_point,
 )
 from finstream import cli
-from finstream.cli import COMBINE, COMMANDS, command_parser, main, make_parser
+from finstream.cli import COMBINE, COMMANDS, main, make_parser
 from finstream.errors import StreamError
 from finstream.formats import (
     STREAM_FORMAT,
@@ -606,6 +607,29 @@ def test_wrong_input_count_exits_2(tmp_path, capsys, op, count, extra):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("op, given, needs", [
+    pytest.param("quotient", [], "--partition", id="quotient"),
+    pytest.param("substream", [], "--points", id="substream"),
+    pytest.param("pushforward", [], "--space and --map", id="pushforward"),
+    pytest.param("pushforward", ["--space", "S"], "--space and --map", id="pushforward-space"),
+    pytest.param("pullback-cosheafify", [], "--space and --map", id="pullback"),
+    pytest.param("pullback-cosheafify", ["--map", "{}"], "--space and --map", id="pullback-map"),
+    pytest.param("limit", [], "--diagram", id="limit"),
+    pytest.param("colimit", [], "--diagram", id="colimit"),
+])
+def test_missing_combine_option_exits_2(tmp_path, capsys, op, given, needs):
+    """An operation run without an option it needs names every option it
+    needs on one error line; its --input files are read first."""
+    stream = tmp_path / "i1.json"
+    write(stream, serialize_stream(directed_interval(1)))
+    argv = ["combine", op, *[str(stream) if arg == "S" else arg for arg in given]]
+    if COMBINE[op][0]:
+        code, _, err = run(capsys, *argv, "--input", str(tmp_path / "none.json"))
+        assert code == 2 and "none.json" in err
+        argv += ["--input", str(stream)]
+    assert run(capsys, *argv) == (2, "", f"error: {op} needs {needs}\n")
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["combine", "join", "--input", "<in>", "--bogus"], id="unknown-option"),
     pytest.param([], id="missing-command"),
@@ -717,10 +741,9 @@ def recorded(monkeypatch):
 
 @pytest.mark.parametrize("argv", PARSED + EXITS, ids=" ".join)
 def test_command_parser_matches_full_parser(monkeypatch, capsys, recorded, argv):
-    """The parse main does, with the parser of argv[0] alone on argv[1:] when
-    argv[0] names a command and with the root parser otherwise, gives every
-    argv the namespace, or the exit, of the root parser with all five
-    subparsers."""
+    """The parse main does, with the plain reader or else the root parser,
+    gives every argv the namespace, or the exit, of the root parser with all
+    five subparsers."""
     monkeypatch.setenv("COLUMNS", "80")
     expected = _parse(make_parser(), argv, capsys)
     try:
@@ -737,35 +760,23 @@ def test_command_parser_matches_full_parser(monkeypatch, capsys, recorded, argv)
         assert isinstance(got, tuple)
 
 
-def test_known_command_builds_its_subparser_only(capsys):
-    """A command's parser holds its own arguments and no subparsers: another
-    command's name or option is an unrecognized argument."""
-    parser = command_parser("build")
-    assert parser.prog == "finstream build"
-    assert parser._subparsers is None
-    for argv, extra in (
-        (["check", "--input", "s.json"], "check"),
-        (["--input", "s.json", "--which", "all"], "--which all"),
-    ):
-        with pytest.raises(SystemExit) as caught:
-            parser.parse_args(argv)
-        assert caught.value.code == 2
-        assert capsys.readouterr().err == f"error: unrecognized arguments: {extra}\n"
-
-
 @pytest.fixture
 def parsers_built(monkeypatch):
-    """The prog of every parser built, subparsers included, in order."""
+    """The prog of every argparse parser built, subparsers included, in
+    order."""
     built = []
-    parser_class = cli._parser_class()
-    init = parser_class.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(parser_class, "__init__", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     return built
+
+
+# The progs of the root parser and its five subparsers, in build order.
+ROOT = ["finstream"] + [f"finstream {name}" for name in COMMANDS]
 
 
 @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
@@ -779,16 +790,12 @@ def test_well_formed_call_builds_no_parser(recorded, parsers_built, argv):
 
 @pytest.mark.parametrize("argv", EXITS, ids=" ".join)
 def test_declined_call_builds_the_parser_it_exits_from(capsys, recorded, parsers_built, argv):
-    """A call the plain reader declines builds the parsers it built before:
-    the command's own for a named command, the root with every subparser
-    otherwise."""
+    """A call the plain reader declines, on a named command or not, builds
+    the root parser with every subparser, once."""
     with pytest.raises(SystemExit):
         main(argv)
     assert recorded == []
-    if argv and argv[0] in COMMANDS:
-        assert parsers_built == [f"finstream {argv[0]}"]
-    else:
-        assert parsers_built == ["finstream"] + [f"finstream {name}" for name in COMMANDS]
+    assert parsers_built == ROOT
 
 
 def test_append_option_gets_a_fresh_list(recorded):
@@ -890,7 +897,7 @@ def test_call_without_command_builds_the_root(capsys, parsers_built, argv):
     with pytest.raises(SystemExit) as caught:
         main(argv)
     assert caught.value.code == (0 if argv == ["--help"] else 2)
-    assert parsers_built == ["finstream"] + [f"finstream {name}" for name in COMMANDS]
+    assert parsers_built == ROOT
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
