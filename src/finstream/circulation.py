@@ -52,8 +52,9 @@ def _embed_rows(p: Preorder, space: FiniteSpace) -> tuple[int, ...]:
 
 
 def _extract_preorder(space: FiniteSpace, mask: int, full_rows: Sequence[int]) -> Preorder:
-    carrier = tuple(space.points[i] for i in iter_bits(mask))
     positions = list(iter_bits(mask))
+    points = space.points
+    carrier = tuple([points[i] for i in positions])
     rows = []
     for i in positions:
         row = full_rows[i]
@@ -94,7 +95,9 @@ class Precirculation:
 
     Values are computed and memoized as full-space rows (zero off the open);
     ``compute``, or a subclass's ``_compute``, maps an open mask to them.
-    ``assign_mask`` builds the Preorder."""
+    ``assign_mask`` builds the Preorder. Every memo key is an open mask,
+    checked on the miss that stored it (see :meth:`rows_on`); a mask that is
+    not open, or has a bit outside the space, raises ``NotOpen``."""
 
     def __init__(
         self, space: FiniteSpace, compute: Callable[[int], Sequence[int]] | None = None
@@ -109,11 +112,18 @@ class Precirculation:
         raise NotImplementedError
 
     def rows_on(self, mask: int) -> tuple[int, ...]:
-        require_open_mask(self.space, mask)
+        """The value on an open mask as full-space rows, memoized.
+
+        Openness is checked on a miss only, before the value is computed
+        and stored, so every memo key is an open mask checked on the miss
+        that stored it and a hit returns at once. A mask that is not open,
+        or has a bit outside the space, is never stored: it misses every
+        time and raises ``NotOpen``."""
         with self._lock:
             hit = self._memo.get(mask)
         if hit is not None:
             return hit
+        require_open_mask(self.space, mask)
         rows = tuple(self._compute(mask))
         with self._lock:
             self._memo[mask] = rows

@@ -51,9 +51,14 @@ class FiniteSpace(Record):
         return x in self._index
 
     def mask_of(self, points: Iterable[str]) -> int:
+        index = self._index
         mask = 0
         for p in points:
-            mask |= 1 << self.index(p)
+            try:
+                i = index[p]
+            except KeyError:
+                raise UnknownPoint(f"{p!r} not a point of the space") from None
+            mask |= 1 << i
         return mask
 
     def set_of(self, mask: int) -> frozenset[str]:
@@ -122,14 +127,25 @@ def is_open(space: FiniteSpace, subset: Iterable[str]) -> bool:
 
 
 def is_open_mask(space: FiniteSpace, mask: int) -> bool:
-    for i in iter_bits(mask):
-        if space.min_open_rows[i] & ~mask:
+    """Whether the mask is an open of the space: it holds the minimal open
+    of each of its points. A mask with a bit that names no point, a
+    negative one or one at or above ``space.n``, is not."""
+    rows = space.min_open_rows
+    if mask < 0 or mask >> len(rows):
+        return False
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & ~mask:
             return False
+        rest ^= low
     return True
 
 
 def require_open_mask(space: FiniteSpace, mask: int) -> int:
     if not is_open_mask(space, mask):
+        if mask < 0 or mask >> space.n:
+            raise NotOpen(f"mask {mask:#x} has a bit outside the space's {space.n} points")
         raise NotOpen(f"{sorted(space.set_of(mask))!r} is not open")
     return mask
 

@@ -309,6 +309,16 @@ def open_sets(space):
     return [space.set_of(m) for m in all_opens(space)]
 
 
+def open_mask_oracle(space, mask):
+    """Openness by definition, bit by bit: every set bit names a point, and
+    each such point's minimal open lies inside the mask."""
+    if mask < 0 or mask >= 1 << space.n:
+        return False
+    return all(
+        space.min_open_rows[i] & ~mask == 0 for i in range(space.n) if mask >> i & 1
+    )
+
+
 def continuity_oracle(f, src, dst):
     """The definition: the preimage of every open is open."""
     src_opens = open_sets(src)
