@@ -186,9 +186,22 @@ class StoredPrecirculation(Precirculation):
                 raise CarrierMismatch(f"stored value off its open {sorted(open_set)!r}")
             self._stored[mask] = _embed_rows(value, space)
 
+    @cached_property
+    def _holding(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The stored opens indexed by point: for each point, the bitmask
+        of the numbers k of the stored opens that hold it, and the stored
+        values by k."""
+        return transpose_rows(list(self._stored), self.space.n), list(self._stored.values())
+
     def _compute(self, mask: int) -> tuple[int, ...]:
-        inside = (srows for smask, srows in self._stored.items() if not smask & ~mask)
-        return _join_on(self.space, mask, inside)
+        """The hull on W: the closure on W of the stored values on the
+        stored opens inside W, which are those that hold no point outside
+        W. The points outside W name, through ``_holding``, the stored
+        opens to leave out, so no stored mask is tested against W."""
+        holding, values = self._holding
+        outside = reach(~mask & ((1 << self.space.n) - 1), holding)
+        inside = ((1 << len(values)) - 1) & ~outside
+        return _join_on(self.space, mask, [values[k] for k in iter_bits(inside)])
 
 
 def chaotic_precirculation(space: FiniteSpace) -> Precirculation:

@@ -6,10 +6,16 @@ two-space indent, trailing newline. Serializing a parsed canonical file
 reproduces it byte for byte.
 
 Stream files are read into generator rows and written straight from them,
-each point's rows on its minimal open only. Each pair list of a file is
-read once by ``relations._checked_rows``, the one pair-table check, which
-``Preorder.build`` runs too: it checks each pair's shape and names and sets
-it straight into the rows; a stream load builds no ``Preorder``.
+each point's rows on its minimal open only. A stream file is read in one
+pass over the space's own name index: ``space_from_min_opens`` takes each
+minimal open's mask, positions and nesting test in one walk, and
+``_parse_gen_table`` reads each point's pair list once, through the index,
+into the rows of its minimal open. Only a list that fails the reader's
+per-pair test goes to ``relations._checked_rows``, the pair-table check
+``Preorder.build`` runs, which names its error, so a load raises the errors
+of ``Preorder.build`` on each minimal open, in its order; a stream load
+builds no ``Preorder``. Build specs and diagram objects go through the
+same reader, laxly.
 ``stream_to_json`` emits the text ``canonical_dumps(serialize_stream(s))``
 would, without the dict or the pure-Python indenting encoder.
 ``serialize_stream``, the dict form, has no caller in the library and stays
@@ -21,8 +27,9 @@ A file that lists a point twice is refused.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from json.encoder import encode_basestring
-from typing import Any, Mapping
+from typing import Any, NoReturn
 
 from ._kernels import iter_bits
 from .circulation import (
@@ -33,7 +40,7 @@ from .circulation import (
     _require_saturated,
     _saturate,
 )
-from .errors import FormatError
+from .errors import FormatError, InvalidPreorder, StreamError
 from .relations import Preorder, _carrier_rows, _checked_rows
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
@@ -171,37 +178,111 @@ def _point_map(raw, what: str) -> dict[str, str]:
 
 
 def parse_space(obj: Mapping) -> FiniteSpace:
+    """A space file: its points, each listed once, and its minimal-open
+    table, each entry a list of point names, read by
+    :func:`space_from_min_opens`. A name that is not a string misses the
+    space's index there; the table is then scanned for the first entry
+    that is not a list of names, whose FormatError comes before any other
+    fault of the table."""
     points = _point_names(_require(obj, "points"), "field 'points'")
-    seen = set()
-    for p in points:
-        if p in seen:
-            raise FormatError(f"point {p!r} is listed twice")
-        seen.add(p)
-    table = {
-        p: _point_names(members, f"min_open({p!r})")
-        for p, members in _require(obj, "min_open", dict).items()
-    }
-    return space_from_min_opens(points, table)
+    if len(set(points)) < len(points):
+        seen = set()
+        for p in points:
+            if p in seen:
+                raise FormatError(f"point {p!r} is listed twice")
+            seen.add(p)
+    table = _require(obj, "min_open", dict)
+    if not all(isinstance(members, list) for members in table.values()):
+        _require_member_names(table)
+    try:
+        return space_from_min_opens(points, table)
+    except (StreamError, TypeError):  # TypeError: a name that cannot be hashed
+        _require_member_names(table)
+        raise
+
+
+def _require_member_names(table: dict) -> None:
+    """FormatError for the first minimal-open entry, in table order, that
+    is not a list of point names."""
+    for p, members in table.items():
+        _point_names(members, f"min_open({p!r})")
 
 
 def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...], ...]:
-    """The gen table as generator rows: each point's pair list read once,
-    straight into the rows of its minimal open, and checked as a preorder
-    on that open by ``relations._checked_rows``, the check
-    ``Preorder.build`` runs. A malformed pair anywhere in the list raises
-    FormatError before a name outside the open raises UnknownPoint."""
+    """The gen table as generator rows, each point's pair list read once.
+
+    Point z's pairs go through the space's own index into one full-space
+    working list, at the positions of min_open(z), as ``_require_saturated``
+    lays a generator out. A pair costs a list test, two index lookups and a
+    test that both ends lie in min_open(z). The first pair that fails them
+    stops the read, and :func:`_pair_fault` raises the list's error. Then
+    z's rows must be reflexive and transitive (InvalidPreorder). The errors
+    and their order are ``Preorder.build``'s on the open, point by point: a
+    malformed pair anywhere in the list (FormatError), then the list's
+    first pair with an end outside the open (UnknownPoint), then a
+    reflexive and then a transitive fault."""
+    index = space._index
     for key in table:
-        if key not in space:
+        if key not in index:
             raise FormatError(f"gen table keys unknown point {key!r}")
-    points = space.points
+    n = space.n
+    bits = [1 << k for k in range(n)]
+    rows = [0] * n
+    # star[k] == z while position k lies in min_open(z); position n stands
+    # for a name the index misses, which lies in no minimal open
+    star = [-1] * (n + 1)
     family = []
-    for x, where in zip(points, space.min_open_positions):
-        if x not in table:
-            raise FormatError(f"gen table misses {x!r}")
-        slot = {points[a]: k for k, a in enumerate(where)}
-        bits = [1 << a for a in where]
-        family.append(_checked_rows(slot, bits, table[x], True, listed=True))
+    for z, (x, where) in enumerate(zip(space.points, space.min_open_positions)):
+        pairs = table.get(x)
+        if not isinstance(pairs, list):
+            if x not in table:
+                raise FormatError(f"gen table misses {x!r}")
+            raise FormatError("pairs must be lists of two point names")
+        for a in where:
+            rows[a] = 0
+            star[a] = z
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                _pair_fault(space, where, pairs)
+            try:
+                i = index.get(pair[0], n)
+                j = index.get(pair[1], n)
+            except TypeError:  # a name that cannot be hashed
+                _pair_fault(space, where, pairs)
+            if star[i] != z or star[j] != z:
+                _pair_fault(space, where, pairs)
+            rows[i] |= bits[j]
+        # a reflexive fault anywhere in the star comes first
+        gen = []
+        transitive = True
+        for a in where:
+            row = rows[a]
+            if not row & bits[a]:
+                raise InvalidPreorder("relation is not reflexive")
+            rest = row ^ bits[a]
+            if rest:
+                outside = ~row
+                while rest:
+                    low = rest & -rest
+                    if rows[low.bit_length() - 1] & outside:
+                        transitive = False
+                    rest ^= low
+            gen.append(row)
+        if not transitive:
+            raise InvalidPreorder("relation is not transitive")
+        family.append(tuple(gen))
     return tuple(family)
+
+
+def _pair_fault(space: FiniteSpace, where: tuple[int, ...], pairs: list) -> NoReturn:
+    """Raise the error of a pair list that failed the reader's test on the
+    minimal open at ``where``. ``relations._checked_rows``, the pair-table
+    check ``Preorder.build`` runs, names it; every list that fails the test
+    has a pair that check refuses."""
+    points = space.points
+    slot = {points[a]: k for k, a in enumerate(where)}
+    _checked_rows(slot, [1 << a for a in where], pairs, True, listed=True)
+    raise AssertionError("the pair-table check accepted a pair list the reader refused")
 
 
 def parse_stream(obj: Mapping, strict: bool = True) -> Stream:

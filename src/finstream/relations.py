@@ -28,10 +28,13 @@ def _checked_rows(
     preorder: bool,
     listed: bool = False,
 ) -> tuple[int, ...]:
-    """The one check of a pair table, read in one pass: its successor rows,
+    """The check of a pair table, read in one pass: its successor rows,
     one per carrier point, where ``slot`` numbers the carrier's names 0, 1,
     ... and the k-th point is bit ``bits[k]`` of a row (its own index, or
-    its index in a larger space).
+    its index in a larger space). ``Relation.build``, ``Preorder.build``
+    and the precirculation and atlas readers run it; the stream reader
+    reads its pair lists itself and hands a list here only to name the
+    error of a pair that failed its test.
 
     ``listed`` pairs come from a JSON file: the table must be a list and
     each pair a list of two point names (FormatError), checked pair by pair.

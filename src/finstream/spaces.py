@@ -92,32 +92,50 @@ def space_from_min_opens(
     Rejects tables missing a point, containing unknown names, omitting the
     point from its own neighborhood, or breaking the nesting rule that
     y in min_open(x) forces min_open(y) inside min_open(x).
-    """
+
+    Each neighborhood is read once into its mask, and one walk over each
+    mask's bits then takes its positions and checks the nesting rule; the
+    space keeps the point index and those positions."""
     pts = tuple(sorted(set(points)))
     index = {p: i for i, p in enumerate(pts)}
+    bits = [1 << i for i in range(len(pts))]
     rows = []
     for p in pts:
-        if p not in min_open:
-            raise MissingPoint(f"min_open table misses {p!r}")
+        try:
+            members = min_open[p]
+        except KeyError:
+            raise MissingPoint(f"min_open table misses {p!r}") from None
         mask = 0
-        for q in min_open[p]:
-            if q not in index:
+        for q in members:
+            i = index.get(q)
+            if i is None:
                 raise UnknownPoint(f"min_open({p!r}) contains unknown point {q!r}")
-            mask |= 1 << index[q]
+            mask |= bits[i]
         rows.append(mask)
-    for q in min_open:
-        if q not in index:
-            raise UnknownPoint(f"min_open table keys unknown point {q!r}")
-    space = FiniteSpace(pts, tuple(rows))
-    for i, (p, where) in enumerate(zip(pts, space.min_open_positions)):
-        if not rows[i] >> i & 1:
+    if len(min_open) != len(pts):
+        for q in min_open:
+            if q not in index:
+                raise UnknownPoint(f"min_open table keys unknown point {q!r}")
+    positions = []
+    for i, (p, mask) in enumerate(zip(pts, rows)):
+        if not mask & bits[i]:
             raise NotMinimal(f"{p!r} not in its own minimal open", pair=(p, p))
-        for j in where:
-            if rows[j] & ~rows[i]:
+        where = []
+        outside = ~mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if rows[j] & outside:
                 raise NotMinimal(
-                    f"min_open({pts[j]!r}) not inside min_open({p!r})",
-                    pair=(p, pts[j]),
+                    f"min_open({pts[j]!r}) not inside min_open({p!r})", pair=(p, pts[j])
                 )
+            where.append(j)
+            rest ^= low
+        positions.append(tuple(where))
+    space = FiniteSpace(pts, tuple(rows))
+    # fill the two cached properties from this reading
+    vars(space).update(_index=index, min_open_positions=tuple(positions))
     return space
 
 

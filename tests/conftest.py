@@ -55,14 +55,23 @@ from finstream import (
     tuple_point,
 )
 from finstream._kernels import closure_rows, image_rows, reach, transpose_rows
-from finstream.circulation import _embed_rows, _indices_in, _join_on, _shortest_chain
+from finstream.circulation import (
+    _embed_rows,
+    _indices_in,
+    _join_on,
+    _require_saturated,
+    _saturate,
+    _shortest_chain,
+)
 from finstream.corpus import all_spaces, random_preorder, random_stream, spaces_upto
 from finstream.errors import (
     CarrierMismatch,
     FormatError,
     IllTypedDiagram,
     InvalidPartition,
+    MissingPoint,
     NotContinuous,
+    NotMinimal,
     NotRelated,
     NotStreamMap,
     UnknownPoint,
@@ -74,8 +83,8 @@ from finstream.formats import (
     canonical_dumps,
     parse_space,
 )
-from finstream.relations import iter_bits
-from finstream.spaces import closure_mask, require_open_mask
+from finstream.relations import _checked_rows, iter_bits
+from finstream.spaces import FiniteSpace, closure_mask, require_open_mask
 
 
 def closure_oracle(carrier, pairs):
@@ -542,6 +551,81 @@ def parse_stream_oracle(obj, strict=True):
     if strict:
         return Stream(space, Circulation(space, [gens[x] for x in space.points]))
     return Stream(space, circulation_from_generators(space, gens))
+
+
+def space_from_min_opens_oracle(points, min_open):
+    """space_from_min_opens as it was before its one-walk rewrite: a
+    missing point or unknown member in point order, then an unknown key,
+    then the nesting rule, each open's positions walked a second time."""
+    pts = tuple(sorted(set(points)))
+    index = {p: i for i, p in enumerate(pts)}
+    rows = []
+    for p in pts:
+        if p not in min_open:
+            raise MissingPoint(f"min_open table misses {p!r}")
+        mask = 0
+        for q in min_open[p]:
+            if q not in index:
+                raise UnknownPoint(f"min_open({p!r}) contains unknown point {q!r}")
+            mask |= 1 << index[q]
+        rows.append(mask)
+    for q in min_open:
+        if q not in index:
+            raise UnknownPoint(f"min_open table keys unknown point {q!r}")
+    for i, p in enumerate(pts):
+        if not rows[i] >> i & 1:
+            raise NotMinimal(f"{p!r} not in its own minimal open", pair=(p, p))
+        for j in iter_bits(rows[i]):
+            if rows[j] & ~rows[i]:
+                raise NotMinimal(
+                    f"min_open({pts[j]!r}) not inside min_open({p!r})", pair=(p, pts[j])
+                )
+    return FiniteSpace(pts, tuple(rows))
+
+
+def space_reader_oracle(obj):
+    """parse_space as it was before the one-pass reader: the point list's
+    names and repeats, then every minimal-open entry's names in table
+    order, then :func:`space_from_min_opens_oracle`."""
+    points = _require(obj, "points")
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise FormatError("field 'points' must be a list of point names")
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise FormatError(f"point {p!r} is listed twice")
+        seen.add(p)
+    table = _require(obj, "min_open", dict)
+    for p, members in table.items():
+        if not isinstance(members, list) or not all(isinstance(q, str) for q in members):
+            raise FormatError(f"min_open({p!r}) must be a list of point names")
+    return space_from_min_opens_oracle(points, table)
+
+
+def stream_reader_oracle(obj, strict=True):
+    """parse_stream as it was before the one-pass reader, the reference for
+    its results, its errors and their order: :func:`space_reader_oracle`,
+    then the gen table's keys, then point by point a missing entry or the
+    pair list read by ``relations._checked_rows`` on the point's minimal
+    open, then the saturation test (strict) or saturation (lax)."""
+    space = space_reader_oracle(obj)
+    table = _require(obj, "gen", dict)
+    for key in table:
+        if key not in space:
+            raise FormatError(f"gen table keys unknown point {key!r}")
+    points = space.points
+    family = []
+    for x, mo in zip(points, space.min_open_rows):
+        if x not in table:
+            raise FormatError(f"gen table misses {x!r}")
+        where = list(iter_bits(mo))
+        slot = {points[a]: k for k, a in enumerate(where)}
+        family.append(_checked_rows(slot, [1 << a for a in where], table[x], True, listed=True))
+    family = tuple(family)
+    if strict:
+        _require_saturated(space, family)
+        return Stream(space, Circulation._by_construction(space, family))
+    return Stream(space, _saturate(space, family))
 
 
 def _space_body_oracle(space):

@@ -35,6 +35,7 @@ from finstream import (
     directed_interval,
     directed_square,
     is_circulation,
+    join,
     join_circulations,
     limit,
     point_stream,
@@ -1045,6 +1046,31 @@ class TestStoredPrecirculation:
             assert len(closures) == len(pc._stored) - minimal + len(hulls)
         assert failing_open(space, result.witness) == whole
         assert (result.witness.x, result.witness.y) == ("e1", "v0")
+
+    def test_hull_joins_the_stored_values_inside(self, rng):
+        # the hull on W, read through the stored opens' per-point index, is
+        # the closure of the stored values on the stored opens inside W
+        for _ in range(150):
+            space = random_space(rng, rng.randint(1, 6))
+            opens = all_opens(space)
+            stored = {}
+            for _ in range(rng.randint(1, 8)):
+                members = frozenset(space.set_of(rng.choice(opens)))
+                stored[members] = random_preorder(rng, sorted(members))
+            pc = StoredPrecirculation(space, stored, exact=False)
+            for mask in opens:
+                w = space.set_of(mask)
+                inside = [value for open_set, value in stored.items() if open_set <= w]
+                assert pc.assign_mask(mask) == join(inside, carrier=w)
+
+    def test_interval8_file_dumps_back_byte_identical(self, tmp_path):
+        # every one of the 4,181 opens listed: writing the loaded file reads
+        # each open's hull
+        s = directed_interval(8)
+        first, again = tmp_path / "values.json", tmp_path / "again.json"
+        dump(Precirculation(s.space, s.circ.rows_on), str(first))
+        dump(load(str(first)), str(again))
+        assert again.read_bytes() == first.read_bytes()
 
     def test_hull_is_monotone(self, small_spaces):
         # the library accepts the hull without a scan; the scan agrees

@@ -39,7 +39,14 @@ from finstream.corpus import (
     random_space,
     random_stream,
 )
-from finstream.errors import FormatError, InvalidPreorder, StreamError, UnknownPoint
+from finstream.errors import (
+    FormatError,
+    InvalidPreorder,
+    MissingPoint,
+    NotMinimal,
+    StreamError,
+    UnknownPoint,
+)
 from finstream.formats import (
     canonical_dumps,
     dump,
@@ -465,3 +472,56 @@ def test_pinned_bases_load():
     for base in (NESTED, OVERLAP):
         s = parse_stream(base)
         assert stream_to_json(s) == canonical_dumps(base)
+
+
+# Each malformed minimal-open table as changes to NESTED's: a point's new
+# member list, or None to drop the point. Pinned with the error class, the
+# message and, for NotMinimal, the offending pair.
+PINNED_SPACE = {
+    "missing point": ({"c": None}, MissingPoint, "min_open table misses 'c'", None),
+    "unknown member": (
+        {"b": ["b", "c", "zz"]}, UnknownPoint, "min_open('b') contains unknown point 'zz'", None
+    ),
+    "unknown key": ({"zz": ["c"]}, UnknownPoint, "min_open table keys unknown point 'zz'", None),
+    "not in its own minimal open": (
+        {"b": ["c"]}, NotMinimal, "'b' not in its own minimal open", ("b", "b")
+    ),
+    "not nested": (
+        {"b": ["a", "b"]}, NotMinimal, "min_open('a') not inside min_open('b')", ("b", "a")
+    ),
+    # precedence
+    "member not a name before a missing point": (
+        {"a": None, "c": ["c", 3]}, FormatError, "min_open('c') must be a list of point names", None
+    ),
+    "entry not a list before an unknown member": (
+        {"a": ["a", "zz"], "c": "c"}, FormatError, "min_open('c') must be a list of point names", None
+    ),
+    "missing point before an unknown member of a later one": (
+        {"a": None, "b": ["b", "zz"]}, MissingPoint, "min_open table misses 'a'", None
+    ),
+    "unknown member before an unknown key": (
+        {"zz": ["c"], "c": ["c", "yy"]}, UnknownPoint, "min_open('c') contains unknown point 'yy'", None
+    ),
+    "unknown key before nesting": (
+        {"zz": ["c"], "b": ["c"]}, UnknownPoint, "min_open table keys unknown point 'zz'", None
+    ),
+    "first point's nesting fault first": (
+        {"b": ["a", "b"], "c": ["b"]}, NotMinimal, "min_open('a') not inside min_open('b')", ("b", "a")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SPACE))
+def test_space_error_pinned(case):
+    changes, kind, message, pair = PINNED_SPACE[case]
+    obj = copy.deepcopy(NESTED)
+    for x, members in changes.items():
+        if members is None:
+            del obj["min_open"][x]
+        else:
+            obj["min_open"][x] = members
+    for parse in (parse_space, parse_stream):
+        with pytest.raises(StreamError) as info:
+            parse(obj)
+        assert (type(info.value), str(info.value)) == (kind, message)
+        assert getattr(info.value, "pair", None) == pair
