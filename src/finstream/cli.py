@@ -46,6 +46,7 @@ from .formats import (
     _point_names,
     _read_object,
     _require,
+    _write_text,
     canonical_dumps,
     load,
     parse_space,
@@ -87,23 +88,6 @@ BUILDERS = {
 }
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write ``text`` as UTF-8 to ``path``, or to stdout whatever its
-    encoding: the bytes go to its binary buffer, so a point named in any
-    script reaches an ASCII terminal too. A stdout without a buffer (an
-    ``io.StringIO`` a caller set) is written as text."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is None:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.flush()
-        buffer.write(text.encode("utf-8"))
-
-
 def _load_stream(path: str) -> Stream:
     value = load(path)
     if not isinstance(value, Stream):
@@ -138,7 +122,7 @@ def _build_from_spec(obj: dict) -> Stream:
 
 def cmd_build(args) -> int:
     stream = _build_from_spec(_read_object(args.input))
-    _write_output(stream_to_json(stream), args.output)
+    _write_text(stream_to_json(stream), args.output)
     return 0
 
 
@@ -182,7 +166,7 @@ def cmd_check(args) -> int:
         checks = [_circulation_check(value, args.mode)]
     ok = all(c["ok"] for c in checks)
     report = {"input": args.input, "ok": ok, "checks": checks}
-    _write_output(canonical_dumps(report), args.output)
+    _write_text(canonical_dumps(report), args.output)
     return 0 if ok else 1
 
 
@@ -213,7 +197,7 @@ def cmd_query(args) -> int:
         ]
         if len(chain) > 100:
             report["witness_truncated"] = True
-    _write_output(canonical_dumps(report), args.output)
+    _write_text(canonical_dumps(report), args.output)
     return 0 if related else 1
 
 
@@ -318,16 +302,16 @@ def cmd_combine(args) -> int:
             f"{args.operation} needs " + " and ".join(f"--{option}" for option in needs)
         )
     stream = builder(args, inputs)
-    _write_output(stream_to_json(stream), args.output)
+    _write_text(stream_to_json(stream), args.output)
     return 0
 
 
 def cmd_export(args) -> int:
     stream = _load_stream(args.input)
     if args.fmt == "json":
-        _write_output(stream_to_json(stream), args.output)
+        _write_text(stream_to_json(stream), args.output)
     else:
-        _write_output(stream_to_dot(stream), args.output)
+        _write_text(stream_to_dot(stream), args.output)
     return 0
 
 

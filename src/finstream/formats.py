@@ -16,17 +16,23 @@ per-pair test goes to ``relations._checked_rows``, the pair-table check
 of ``Preorder.build`` on each minimal open, in its order; a stream load
 builds no ``Preorder``. Build specs and diagram objects go through the
 same reader, laxly.
-``stream_to_json`` emits the text ``canonical_dumps(serialize_stream(s))``
-would, without the dict or the pure-Python indenting encoder.
+Text is written by two writers, both byte-identical to
+``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``:
+``stream_to_json`` writes a stream file straight from its generator rows,
+with no dict in between, and ``canonical_dumps`` writes every other value
+(reports, spaces, precirculations) by a recursive writer over exact JSON
+types that leaves anything else to that ``json.dumps`` call.
 ``serialize_stream``, the dict form, has no caller in the library and stays
-for the tests and the benchmark, which build diagram files from it;
-``canonical_dumps`` writes reports, spaces and precirculations.
+for the tests and the benchmark, which build diagram files from it.
+``_write_text`` encodes a text to UTF-8 before it opens a file and writes
+the bytes, for ``dump`` and for every CLI command.
 A file that lists a point twice is refused.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from json.encoder import encode_basestring
 from typing import Any, NoReturn
@@ -50,7 +56,58 @@ PRECIRCULATION_FORMAT = "finstream.precirculation/1"
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a JSON value: the text of
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+    newline.
+
+    Exact ``dict``, ``list``, ``tuple``, ``str``, ``int``, ``bool`` and
+    ``None`` values are written by ``_canonical``. Anything else (a float, a
+    subclass, a non-string key) and a ``RecursionError`` from circular or
+    very deep input send the whole object to that ``json.dumps`` call, so
+    its text or its exception is the answer."""
+    try:
+        return _canonical(obj, "") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _canonical(obj: Any, indent: str) -> str:
+    """``obj`` as ``json.dumps`` indents it at depth ``indent``; TypeError
+    for a value it does not write. Values are told apart by exact type and
+    strings go to the C string encoder, so no code of the caller's runs
+    here."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError("not a string key")
+        body = [encode_basestring(k) + ": " + _canonical(obj[k], inner) for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if type(obj[0]) is str:
+            try:  # a list of point names: one encoder pass, one join
+                return "[\n" + inner + sep.join(map(encode_basestring, obj)) + "\n" + indent + "]"
+            except TypeError:
+                pass
+        return "[\n" + inner + sep.join([_canonical(v, inner) for v in obj]) + "\n" + indent + "]"
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"not written here: {kind.__name__}")
 
 
 def _names(points: tuple[str, ...], mask: int) -> list[str]:
@@ -351,8 +408,36 @@ def dump(value, path: str) -> None:
         text = canonical_dumps(serialize_precirculation(value))
     else:
         raise FormatError(f"cannot serialize {type(value).__name__}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(text, path)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` as UTF-8 bytes to the file ``path``, or to stdout when
+    ``path`` is None; the bytes are written as they are, so newlines are
+    ``\\n`` on every platform.
+
+    The text is encoded before any file is opened: text UTF-8 cannot carry
+    (a lone surrogate in a point name) is a FormatError, and no file is
+    created or truncated. Stdout gets the bytes on its binary buffer
+    whatever its own encoding, so a point named in any script reaches an
+    ASCII terminal too; a stdout without a buffer (an ``io.StringIO`` a
+    caller set) is written as text."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"cannot write {exc.object[exc.start:exc.end]!r} as UTF-8: {exc.reason}")
+    if path is None:
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(data)
+        return
+    with open(path, "wb", buffering=0) as handle:
+        done = handle.write(data)
+        while done < len(data):  # an unbuffered write may stop short
+            done += handle.write(data[done:])
 
 
 _PALETTE = (

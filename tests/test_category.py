@@ -38,11 +38,12 @@ from finstream import (
 from finstream import category
 from finstream.corpus import random_continuous_map, random_partition, random_stream, spaces_upto
 from finstream.errors import IllTypedDiagram, NotStreamMap, StreamError
-from finstream.formats import canonical_dumps, serialize_stream
+from finstream.formats import serialize_stream
 from finstream.spaces import space_from_min_opens
 
 from conftest import (
     box_identity_oracle,
+    canonical_dumps_oracle,
     is_convex,
     isomorphism_oracle,
     limit_oracle,
@@ -604,7 +605,7 @@ def random_diagram(rng, spaces, shape):
 def limit_json(diagram, result):
     stream, legs = result
     assert all(legs[k].source is stream and legs[k].target is diagram.objects[k] for k in legs)
-    return canonical_dumps(
+    return canonical_dumps_oracle(
         {"stream": serialize_stream(stream), "legs": {k: leg.mapping for k, leg in legs.items()}}
     )
 

@@ -37,7 +37,7 @@ from finstream.formats import (
 from finstream.models import pathology_fixture
 from finstream.spaces import all_opens, space_from_min_opens
 
-from conftest import model_streams, query_oracle
+from conftest import canonical_dumps_oracle, model_streams, query_oracle
 
 
 def write(path, obj):
@@ -200,7 +200,7 @@ class TestCheckAgainstScan:
             anti = s.underlying().is_antisymmetric()
             checks.append({"check": "antisymmetry", "ok": anti, "witness": None})
         ok = all(c["ok"] for c in checks)
-        return canonical_dumps({"input": path, "ok": ok, "checks": checks}), 0 if ok else 1
+        return canonical_dumps_oracle({"input": path, "ok": ok, "checks": checks}), 0 if ok else 1
 
     def test_reports_match_scan(self, tmp_path, capsys, corpus_streams):
         for k, s in enumerate(corpus_streams + model_streams()):
@@ -439,7 +439,7 @@ class TestExport:
         out = tmp_path / "x.json"
         code, _, _ = run(capsys, "export", "--input", str(path), "--fmt", "json", "--output", str(out))
         assert code == 0
-        assert out.read_bytes() == canonical_dumps(obj).encode("utf-8")
+        assert out.read_bytes() == canonical_dumps_oracle(obj).encode("utf-8")
 
 
 # A prefix argument that stands for the malformed file itself, for
@@ -923,6 +923,33 @@ def test_unreadable_path_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+@pytest.mark.parametrize("target", ["stdout", "new-file", "existing-file"])
+def test_lone_surrogate_point_exits_2_and_writes_nothing(tmp_path, capsys, command, target):
+    """A point named by a lone surrogate has no UTF-8 form: one error line,
+    exit 2, nothing on stdout, no file created and an existing one kept."""
+    if command == "build":
+        obj = {"builder": "point", "args": {"name": "\ud800"}}
+    else:
+        obj = serialize_stream(point_stream("\ud800"))
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps(obj), encoding="ascii")
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(source)]
+    if target != "stdout":
+        argv += ["--output", str(out)]
+    if target == "existing-file":
+        out.write_bytes(b"kept\n")
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if target == "existing-file":
+        assert out.read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
