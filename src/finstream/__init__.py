@@ -40,7 +40,6 @@ from .circulation import (
     StoredPrecirculation,
     alternating_witness,
     chain_witness,
-    chaotic_precirculation,
     check_connected_intervals,
     check_monotone,
     circulation_from_generators,

@@ -1,12 +1,13 @@
 """Bitmask-row kernels, the one place where rows of bits are moved.
 
 A relation on points 0..n-1 is one int row per point, bit j of row i
-meaning i is related to j. ``closure_rows`` closes such rows,
-``gather_rows`` restricts them to a sub-carrier, ``image_rows`` relabels
-them along a point map, ``transpose_rows`` gives the converse relation,
-``reach`` ORs the rows at a mask's bits and ``is_acyclic`` asks whether the
-rows' graph has a cycle. Over the rows of a map's fibres, the converse of
-the rows ``1 << f[a]``, ``reach`` is a preimage.
+meaning i is related to j. ``closure_rows`` closes such rows (or only
+those at the positions it is given), ``gather_rows`` restricts them to a
+sub-carrier, ``image_rows`` relabels every row along a point map,
+``transpose_rows`` gives the converse relation, ``reach`` ORs the rows at a
+mask's bits and ``is_acyclic`` asks whether the rows' graph has a cycle.
+Over the rows of a map's fibres, the converse of the rows ``1 << f[a]``,
+``reach`` is a preimage.
 """
 
 BACKEND = "python"
@@ -81,16 +82,12 @@ def gather_rows(rows, mask):
     return tuple(out)
 
 
-def image_rows(rows, f, out, positions=None):
+def image_rows(rows, f, out):
     """OR the image of the relation along the point map f into out: bit
-    f[b] of row a lands in out[f[a]]. Returns out. ``positions`` (default
-    every row) names the rows to move, so a relation on a small open of a
-    large space costs the open."""
-    if positions is None:
-        positions = range(len(rows))
-    for a in positions:
+    f[b] of row a lands in out[f[a]], for every row a. Returns out."""
+    for a, row in enumerate(rows):
         image = 0
-        for b in iter_bits(rows[a]):
+        for b in iter_bits(row):
             image |= 1 << f[b]
         out[f[a]] |= image
     return out

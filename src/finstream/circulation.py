@@ -27,7 +27,7 @@ import threading
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._kernels import closure_rows, image_rows, is_acyclic, iter_bits, reach, transpose_rows
+from ._kernels import closure_rows, gather_rows, image_rows, is_acyclic, iter_bits, reach, transpose_rows
 from ._record import Record
 from .errors import (
     CarrierMismatch,
@@ -204,15 +204,6 @@ class StoredPrecirculation(Precirculation):
         return _join_on(self.space, mask, [values[k] for k in iter_bits(inside)])
 
 
-def chaotic_precirculation(space: FiniteSpace) -> Precirculation:
-    """Full preorder on every open set; the top of the precirculation order."""
-
-    def full(mask: int) -> tuple[int, ...]:
-        return tuple(mask if mask >> i & 1 else 0 for i in range(space.n))
-
-    return Precirculation(space, full)
-
-
 def _scatter(rows: list[int], items: Iterable[tuple[int, int]]) -> None:
     """OR each (a, row) pair into the full-space rows at a."""
     for a, row in items:
@@ -304,8 +295,8 @@ class Circulation(Precirculation, Record):
     def gen(self) -> tuple[Preorder, ...]:
         space = self.space
         return tuple(
-            _extract_preorder(space, mo, dict(self.gen_items(z)))
-            for z, mo in enumerate(space.min_open_rows)
+            Preorder(tuple([space.points[a] for a in where]), gather_rows(rows, mo))
+            for where, mo, rows in zip(space.min_open_positions, space.min_open_rows, self._gen_rows)
         )
 
     def gen_items(self, z: int) -> Iterator[tuple[int, int]]:

@@ -16,6 +16,7 @@ parser is cached."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Sequence
@@ -165,7 +166,9 @@ def cmd_check(args) -> int:
             raise FormatError("precirculation files only support the circulation check")
         checks = [_circulation_check(value, args.mode)]
     ok = all(c["ok"] for c in checks)
-    report = {"input": args.input, "ok": ok, "checks": checks}
+    # a path that is not UTF-8 names its stray bytes as \xNN escapes
+    name = os.fsencode(args.input).decode("utf-8", "backslashreplace")
+    report = {"input": name, "ok": ok, "checks": checks}
     _write_text(canonical_dumps(report), args.output)
     return 0 if ok else 1
 

@@ -14,8 +14,10 @@ into the rows of its minimal open. Only a list that fails the reader's
 per-pair test goes to ``relations._checked_rows``, the pair-table check
 ``Preorder.build`` runs, which names its error, so a load raises the errors
 of ``Preorder.build`` on each minimal open, in its order; a stream load
-builds no ``Preorder``. Build specs and diagram objects go through the
-same reader, laxly.
+builds no ``Preorder``. A JSON pair list reaches that check only once
+``_require_pairs`` has found it a list of two-name lists, so a malformed
+pair anywhere in it comes first. Build specs and diagram objects go
+through the same reader, laxly.
 Text is written by two writers, both byte-identical to
 ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``:
 ``stream_to_json`` writes a stream file straight from its generator rows,
@@ -47,7 +49,7 @@ from .circulation import (
     _saturate,
 )
 from .errors import FormatError, InvalidPreorder, StreamError
-from .relations import Preorder, _carrier_rows, _checked_rows
+from .relations import Preorder, _carrier_rows
 from .spaces import FiniteSpace, all_opens, space_from_min_opens
 
 SPACE_FORMAT = "finstream.space/1"
@@ -214,10 +216,21 @@ def _require(obj: Mapping, key: str, kind=None):
     return value
 
 
+def _require_pairs(raw) -> list:
+    """A JSON pair list, checked whole to be a list of lists of two point
+    names (FormatError) before any name in it is looked up."""
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+        and isinstance(pair[1], str) for pair in raw
+    ):
+        raise FormatError("pairs must be lists of two point names")
+    return raw
+
+
 def _parse_preorder(points, raw) -> Preorder:
-    """A JSON pair list as a preorder on the points: ``Preorder.build``'s
-    checks, with the pairs' shape checked as they are read."""
-    return Preorder(*_carrier_rows(points, raw, True, listed=True))
+    """A JSON pair list as a preorder on the points: its shape, then
+    ``Preorder.build``'s checks."""
+    return Preorder(*_carrier_rows(points, _require_pairs(raw), True))
 
 
 def _point_names(raw, what: str) -> list[str]:
@@ -294,7 +307,7 @@ def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...
         if not isinstance(pairs, list):
             if x not in table:
                 raise FormatError(f"gen table misses {x!r}")
-            raise FormatError("pairs must be lists of two point names")
+            _pair_fault(space, where, pairs)
         for a in where:
             rows[a] = 0
             star[a] = z
@@ -331,14 +344,12 @@ def _parse_gen_table(space: FiniteSpace, table: Mapping) -> tuple[tuple[int, ...
     return tuple(family)
 
 
-def _pair_fault(space: FiniteSpace, where: tuple[int, ...], pairs: list) -> NoReturn:
+def _pair_fault(space: FiniteSpace, where: tuple[int, ...], pairs) -> NoReturn:
     """Raise the error of a pair list that failed the reader's test on the
-    minimal open at ``where``. ``relations._checked_rows``, the pair-table
-    check ``Preorder.build`` runs, names it; every list that fails the test
-    has a pair that check refuses."""
-    points = space.points
-    slot = {points[a]: k for k, a in enumerate(where)}
-    _checked_rows(slot, [1 << a for a in where], pairs, True, listed=True)
+    minimal open at ``where``: :func:`_parse_preorder` on the open's points
+    names it, since every list that fails the test has a pair that its
+    shape test or ``relations._checked_rows`` refuses."""
+    _parse_preorder([space.points[a] for a in where], pairs)
     raise AssertionError("the pair-table check accepted a pair list the reader refused")
 
 

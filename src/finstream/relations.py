@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._kernels import closure_rows, gather_rows, image_rows, iter_bits, reach, transpose_rows
 from ._record import Record
-from .errors import FormatError, InvalidPreorder, StreamError, UnknownPoint
+from .errors import InvalidPreorder, StreamError, UnknownPoint
 
 
 def tuple_point(*parts: str) -> str:
@@ -22,54 +22,30 @@ def tuple_point(*parts: str) -> str:
 
 
 def _checked_rows(
-    slot: Mapping[str, int],
-    bits: Sequence[int],
-    pairs: Iterable[tuple[str, str]],
-    preorder: bool,
-    listed: bool = False,
+    slot: Mapping[str, int], bits: Sequence[int], pairs: Iterable[tuple[str, str]], preorder: bool
 ) -> tuple[int, ...]:
     """The check of a pair table, read in one pass: its successor rows,
     one per carrier point, where ``slot`` numbers the carrier's names 0, 1,
     ... and the k-th point is bit ``bits[k]`` of a row (its own index, or
-    its index in a larger space). ``Relation.build``, ``Preorder.build``
-    and the precirculation and atlas readers run it; the stream reader
-    reads its pair lists itself and hands a list here only to name the
-    error of a pair that failed its test.
+    its index in a larger space). ``Relation.build`` and ``Preorder.build``
+    run it, and so do the file readers, once ``formats._require_pairs`` has
+    checked a pair list's shape.
 
-    ``listed`` pairs come from a JSON file: the table must be a list and
-    each pair a list of two point names (FormatError), checked pair by pair.
     Both ends of each pair lie in the carrier: the first pair with an end
-    outside raises UnknownPoint once every pair has been read, so a
-    malformed pair later in the list still raises FormatError. Then, for a
-    preorder, the carrier's points are reflexive and each pair (a, b) has
-    row b inside row a, which is transitivity (InvalidPreorder)."""
-    if listed and not isinstance(pairs, list):
-        raise FormatError("pairs must be lists of two point names")
+    outside raises UnknownPoint. Then, for a preorder, the carrier's points
+    are reflexive and each pair (a, b) has row b inside row a, which is
+    transitivity (InvalidPreorder)."""
     rows = [0] * len(bits)
     edges = []
-    outside = None
-    for pair in pairs:
-        if listed and not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and isinstance(pair[1], str)
-        ):
-            raise FormatError("pairs must be lists of two point names")
-        if outside is not None:
-            continue
-        x, y = pair
+    for x, y in pairs:
         i, j = slot.get(x, -1), slot.get(y, -1)
         if i < 0:
-            outside = UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
-        elif j < 0:
-            outside = UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
-        else:
-            rows[i] |= bits[j]
-            if i != j:  # row i holds itself
-                edges.append((i, j))
-    if outside is not None:
-        raise outside
+            raise UnknownPoint(f"pair ({x!r}, {y!r}): {x!r} not in carrier")
+        if j < 0:
+            raise UnknownPoint(f"pair ({x!r}, {y!r}): {y!r} not in carrier")
+        rows[i] |= bits[j]
+        if i != j:  # row i holds itself
+            edges.append((i, j))
     if preorder:
         for row, bit in zip(rows, bits):
             if not row & bit:
@@ -81,14 +57,14 @@ def _checked_rows(
 
 
 def _carrier_rows(
-    points: Iterable[str], pairs: Iterable[tuple[str, str]], preorder: bool, listed: bool = False
+    points: Iterable[str], pairs: Iterable[tuple[str, str]], preorder: bool
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The sorted carrier of the points and the checked rows of the pairs on
     it (:func:`_checked_rows`)."""
     carrier = tuple(sorted(set(points)))
     slot = {p: i for i, p in enumerate(carrier)}
     bits = [1 << i for i in range(len(carrier))]
-    return carrier, _checked_rows(slot, bits, pairs, preorder, listed)
+    return carrier, _checked_rows(slot, bits, pairs, preorder)
 
 
 class Relation(Record):

@@ -25,7 +25,6 @@ from finstream import (
     Stream,
     StreamMap,
     all_opens,
-    chaotic_precirculation,
     circulation_from_generators,
     closure_set,
     cosheafify,
@@ -81,6 +80,7 @@ from finstream.formats import (
     PRECIRCULATION_FORMAT,
     STREAM_FORMAT,
     _require,
+    _require_pairs,
     parse_space,
 )
 from finstream.relations import _checked_rows, iter_bits
@@ -91,6 +91,15 @@ def canonical_dumps_oracle(obj):
     """The canonical text of a JSON value as the standard library writes
     it: the line ``formats.canonical_dumps`` stands for."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def chaotic_precirculation(space):
+    """Full preorder on every open set; the top of the precirculation order."""
+
+    def full(mask):
+        return tuple(mask if mask >> i & 1 else 0 for i in range(space.n))
+
+    return Precirculation(space, full)
 
 
 def closure_oracle(carrier, pairs):
@@ -612,8 +621,9 @@ def stream_reader_oracle(obj, strict=True):
     """parse_stream as it was before the one-pass reader, the reference for
     its results, its errors and their order: :func:`space_reader_oracle`,
     then the gen table's keys, then point by point a missing entry or the
-    pair list read by ``relations._checked_rows`` on the point's minimal
-    open, then the saturation test (strict) or saturation (lax)."""
+    pair list, its shape checked by ``formats._require_pairs`` and its
+    pairs by ``relations._checked_rows`` on the point's minimal open, then
+    the saturation test (strict) or saturation (lax)."""
     space = space_reader_oracle(obj)
     table = _require(obj, "gen", dict)
     for key in table:
@@ -626,7 +636,8 @@ def stream_reader_oracle(obj, strict=True):
             raise FormatError(f"gen table misses {x!r}")
         where = list(iter_bits(mo))
         slot = {points[a]: k for k, a in enumerate(where)}
-        family.append(_checked_rows(slot, [1 << a for a in where], table[x], True, listed=True))
+        pairs = _require_pairs(table[x])
+        family.append(_checked_rows(slot, [1 << a for a in where], pairs, True))
     family = tuple(family)
     if strict:
         _require_saturated(space, family)

@@ -83,6 +83,7 @@ class TestIsStreamMap:
         assert value.has(a, b) and not value.has(flip[a], flip[b])
 
     def test_modes_agree(self, rng, tiny_spaces):
+        # the check on the minimal opens decides as the check on every open
         for _ in range(40):
             src = rng.choice(tiny_spaces)
             dst = rng.choice(tiny_spaces)
@@ -91,12 +92,13 @@ class TestIsStreamMap:
             s = random_stream(rng, src)
             t = random_stream(rng, dst)
             for f in itertools.islice(enumerate_point_maps(src, dst), 20):
-                fast = is_stream_map(f, s, t, "fast")
-                slow = is_stream_map(f, s, t, "exhaustive")
-                assert fast.ok == slow.ok
-                if fast.continuous:
-                    assert fast.witness == stream_map_witness_oracle(f, s, t, "fast")
-                    assert slow.witness == stream_map_witness_oracle(f, s, t, "exhaustive")
+                check = is_stream_map(f, s, t)
+                if check.continuous:
+                    assert check.witness == stream_map_witness_oracle(f, s, t, "fast")
+                    slow = stream_map_witness_oracle(f, s, t, "exhaustive")
+                    assert check.ok == (slow is None)
+                else:
+                    assert not check.ok and check.witness is None
 
     def test_constructor_rejects(self):
         s = directed_circle(2)
@@ -114,7 +116,7 @@ class TestCompositionLaws:
                 fm = StreamMap(s, t, f)
                 for composite in (compose(fm, identity_map(s)), compose(identity_map(t), fm)):
                     assert composite == fm and hash(composite) == hash(fm)
-                    assert is_stream_map(composite.mapping, s, t, mode="exhaustive").ok
+                    assert stream_map_witness_oracle(composite.mapping, s, t, "exhaustive") is None
         a, b, c = streams[:3]
         for f in enumerate_stream_maps(a, b)[:3]:
             fm = StreamMap(a, b, f)
@@ -122,14 +124,14 @@ class TestCompositionLaws:
                 gm = StreamMap(b, c, g)
                 gf = compose(gm, fm)
                 assert gf.mapping == {p: g[f[p]] for p in a.space.points}
-                assert is_stream_map(gf.mapping, a, c, mode="exhaustive").ok
+                assert stream_map_witness_oracle(gf.mapping, a, c, "exhaustive") is None
 
     def test_identities_are_stream_maps(self, rng, tiny_spaces):
         for space in tiny_spaces:
             s = random_stream(rng, space)
             ident = identity_map(s)
             assert ident == StreamMap(s, s, {p: p for p in space.points})
-            assert is_stream_map(ident.mapping, s, s, mode="exhaustive").ok
+            assert stream_map_witness_oracle(ident.mapping, s, s, "exhaustive") is None
 
     def test_equality_reads_source_target_and_mapping(self):
         s = directed_interval(1)

@@ -25,7 +25,6 @@ from finstream import (
     alternating_witness,
     boundary_square,
     chain_witness,
-    chaotic_precirculation,
     check_connected_intervals,
     check_monotone,
     circulation_from_generators,
@@ -78,6 +77,7 @@ from conftest import (
     antisymmetric_convexity_oracle,
     bounded_interval,
     chain_witness_all_generators,
+    chaotic_precirculation,
     chain_witness_oracle,
     closure_oracle,
     connected_intervals_oracle,

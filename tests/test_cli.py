@@ -952,6 +952,24 @@ def test_lone_surrogate_point_exits_2_and_writes_nothing(tmp_path, capsys, comma
         assert not out.exists()
 
 
+def test_check_names_a_non_utf8_input_path(tmp_path, monkeypatch, capsys):
+    """A file name that is not UTF-8 is named in the report with its stray
+    byte escaped, and the check exits as its result says."""
+    name = os.fsdecode(b"\xff.json")
+    try:
+        write(tmp_path / name, serialize_stream(directed_interval(2)))
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check", "--input", name, "--which", "antisymmetry")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"] == "\\xff.json"
+    # a UTF-8 name is named as given
+    write(tmp_path / "\u00e9.json", serialize_stream(directed_interval(2)))
+    code, out, err = run(capsys, "check", "--input", "\u00e9.json", "--which", "antisymmetry")
+    assert code == 0 and json.loads(out)["input"] == "\u00e9.json"
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

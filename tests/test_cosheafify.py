@@ -3,7 +3,6 @@ import itertools
 from finstream import (
     Preorder,
     all_opens,
-    chaotic_precirculation,
     cosheafify,
     enumerate_circulations,
     is_circulation,
@@ -13,7 +12,7 @@ from finstream.circulation import StoredPrecirculation
 from finstream.corpus import random_precirculation, random_stream, spaces_upto
 from finstream.spaces import space_from_min_opens
 
-from conftest import cosheafify_by_enumeration
+from conftest import chaotic_precirculation, cosheafify_by_enumeration
 
 
 def dominated(circ, pc):

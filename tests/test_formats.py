@@ -7,10 +7,10 @@ import pytest
 from finstream import (
     DiagramArrow,
     FiniteSpace,
+    Preorder,
     Stream,
     StreamDiagram,
     all_opens,
-    chaotic_precirculation,
     colimit,
     coproduct_stream,
     cosheafify,
@@ -63,6 +63,7 @@ from finstream.formats import (
 from finstream.models import interval_endpoint_partition, pathology_fixture
 
 from conftest import (
+    chaotic_precirculation,
     model_streams,
     parse_stream_oracle,
     serialize_precirculation_oracle,
@@ -454,6 +455,13 @@ PINNED = {
 }
 
 
+# Preorder.build reads Python pairs with no shape test, so its first faulty
+# pair decides: an unknown name before a malformed pair is an UnknownPoint.
+PINNED_BUILD = {
+    "three names after an unknown one": (UnknownPoint, "pair ('zz', 'c'): 'zz' not in carrier"),
+}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_loader_error_pinned(case):
     base, changes, kind, message = PINNED[case]
@@ -466,6 +474,21 @@ def test_loader_error_pinned(case):
     with pytest.raises(StreamError) as info:
         parse_stream(obj)
     assert (type(info.value), str(info.value)) == (kind, message)
+    (x, pairs), *others = changes.items()
+    if others or not isinstance(pairs, list) or not message.startswith(("pair", "relation")):
+        return
+    # the fault lies in one point's pair list: read as the stored value on
+    # the point's minimal open, the precirculation reader raises the same
+    # error; Preorder.build, on the pairs as tuples, the first faulty pair's
+    members = base["min_open"][x]
+    stored = {"points": base["points"], "min_open": base["min_open"]}
+    stored["assign"] = [{"open": members, "pairs": pairs}]
+    with pytest.raises(StreamError) as info:
+        parse_precirculation(stored)
+    assert (type(info.value), str(info.value)) == (kind, message)
+    with pytest.raises(StreamError) as info:
+        Preorder.build(members, [tuple(pair) for pair in pairs])
+    assert (type(info.value), str(info.value)) == PINNED_BUILD.get(case, (kind, message))
 
 
 def test_pinned_bases_load():

@@ -216,6 +216,19 @@ class TestNoPreordersInConstructions:
 
 
 class TestPreorderOracles:
+    def test_gen_matches_former_extraction(self, corpus_streams):
+        # gen gathers each generator's stored rows; the former code extracted
+        # them bit by bit from the rows laid out at their positions
+        for s in model_streams() + corpus_streams:
+            space, circ = s.space, s.circ
+            former = tuple(
+                circulation._extract_preorder(space, mo, dict(circ.gen_items(z)))
+                for z, mo in enumerate(space.min_open_rows)
+            )
+            assert [(type(p), p.carrier, p.rows) for p in circ.gen] == [
+                (type(p), p.carrier, p.rows) for p in former
+            ]
+
     def test_specialization_circulation(self, small_spaces):
         for space in small_spaces + [s.space for s in model_streams()]:
             expected = specialization_circulation_oracle(space)
